@@ -116,7 +116,7 @@ type FuncSummary struct {
 	ForeverLoop token.Pos
 
 	// ReturnsTainted: some return value derives from externally decoded
-	// bytes (xmldom.Parse, base64 decode, io.ReadAll, or a call to
+	// bytes (xmldom.Parse*, base64 decode, io.ReadAll, or a call to
 	// another tainted-returning function). Fixpointed module-wide.
 	ReturnsTainted bool
 	// Sanitizes: the function (possibly via callees) both verifies a
@@ -964,8 +964,10 @@ func rootTaintSource(info *types.Info, call *ast.CallExpr) bool {
 	}
 	path := fn.Pkg().Path()
 	switch {
-	case pkgPathHasSuffix(path, "xmldom") && (fn.Name() == "Parse" || fn.Name() == "ParseString"):
-		return true
+	case pkgPathHasSuffix(path, "xmldom") && strings.HasPrefix(fn.Name(), "Parse"):
+		// Every package-level Parse* entry point (Parse, ParseString,
+		// ParseBytes, ...) decodes external bytes.
+		return fn.Type().(*types.Signature).Recv() == nil
 	case path == "encoding/base64" && strings.Contains(fn.Name(), "Decode"):
 		return true
 	case path == "io" && fn.Name() == "ReadAll":

@@ -18,6 +18,12 @@ func adoptUnverified(s svc, raw string) {
 	s.AdoptSessionDoc(doc) // want "reaches AdoptSessionDoc without signature verification"
 }
 
+// Every Parse* entry point is a decode site, not only Parse/ParseString.
+func adoptUnverifiedBytes(s svc, raw []byte) {
+	doc, _ := xmldom.ParseBytes(raw)
+	s.AdoptSessionDoc(doc) // want "reaches AdoptSessionDoc without signature verification"
+}
+
 func adoptNoExpiry(s svc, k pki.KeyPair, raw string) {
 	doc, _ := xmldom.ParseString(raw)
 	if !k.VerifyTicket(doc) {

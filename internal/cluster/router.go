@@ -349,7 +349,7 @@ func boolAttr(b bool) string {
 // exchange envelope without consuming it; malformed bodies return empty
 // values and fall through to the service's own error handling.
 func peekEnvelope(raw []byte) (id, msgType string) {
-	root, err := xmldom.Parse(bytes.NewReader(raw))
+	root, err := xmldom.ParseBytes(raw)
 	if err != nil || root.Name != "envelope" {
 		return "", ""
 	}

@@ -23,11 +23,13 @@ import (
 //
 //   - AddRoot / AddCRL drop the whole cache: trust anchors and
 //     revocation state are inputs to every cached result.
-//   - Expiry is re-checked on every hit: a cached success stores the
-//     credential and its chain, and the hit path re-validates each
-//     validity window against the caller's "now" plus the CRL maps, so
-//     a credential (or chain link) that expires or is revoked after
-//     being cached never verifies again.
+//   - Expiry is re-checked on every hit: a cached success stores private
+//     clones of the credential and its chain, and the hit path
+//     re-validates each validity window against the caller's "now" plus
+//     the CRL maps, so a credential (or chain link) that expires or is
+//     revoked after being cached never verifies again. The clones keep
+//     a caller that later edits its own credential from moving the
+//     windows the cache checks.
 //   - Only successes are cached. Failures may be transient (a chain
 //     link arriving in a later pool) and are cheap to recompute.
 
@@ -38,14 +40,13 @@ import (
 const verifyCacheLimit = 4096
 
 type verifyCacheEntry struct {
-	cred *xtnl.Credential // the verified credential (validity re-check)
-	// signedBytes is the canonical content the signature covered when
-	// the entry was created. A hit must present identical bytes:
-	// otherwise a credential carrying a genuine signature over DIFFERENT
-	// content (a tamper attempt that would fail ed25519.Verify) could
-	// ride a cache hit past verification.
-	signedBytes []byte
-	chain       []*xtnl.Credential // delegation chain used; nil for direct trust
+	// cred is a clone of the verified credential. A hit must present a
+	// credential with the same content (sameContent): otherwise one
+	// carrying a genuine signature over DIFFERENT content (a tamper
+	// attempt that would fail ed25519.Verify) could ride a cache hit
+	// past verification.
+	cred  *xtnl.Credential
+	chain []*xtnl.Credential // clones of the delegation chain used; nil for direct trust
 }
 
 // CacheStats is a snapshot of the verification cache counters, the
@@ -113,7 +114,7 @@ func (ts *TrustStore) cachedVerify(c *xtnl.Credential, now time.Time) ([]*xtnl.C
 		ts.cache.misses.Add(1)
 		return nil, false
 	}
-	if !bytes.Equal(c.SignedBytes(), e.signedBytes) {
+	if !sameContent(c, e.cred) {
 		ts.cache.misses.Add(1)
 		return nil, false
 	}
@@ -131,16 +132,35 @@ func (ts *TrustStore) cachedVerify(c *xtnl.Credential, now time.Time) ([]*xtnl.C
 	return e.chain, true
 }
 
+// sameContent reports whether a presented credential carries the content
+// of a cached one: every field SignedBytes serializes, attributes in
+// order. Equal fields give equal canonical bytes, so this is at least as
+// strict as comparing SignedBytes, without rebuilding them on each hit.
+func sameContent(c, cached *xtnl.Credential) bool {
+	if c.ID != cached.ID || c.Type != cached.Type || c.Issuer != cached.Issuer ||
+		c.Holder != cached.Holder || !bytes.Equal(c.HolderKey, cached.HolderKey) ||
+		!c.ValidFrom.Equal(cached.ValidFrom) || !c.ValidUntil.Equal(cached.ValidUntil) ||
+		c.Sensitivity != cached.Sensitivity || len(c.Attributes) != len(cached.Attributes) {
+		return false
+	}
+	for i, a := range c.Attributes {
+		if a != cached.Attributes[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // rememberVerify memoizes a successful verification.
 func (ts *TrustStore) rememberVerify(c *xtnl.Credential, chain []*xtnl.Credential) {
 	if ts.DisableCache || len(c.Signature) == 0 {
 		return
 	}
-	ts.cache.store(cacheKey(c), &verifyCacheEntry{
-		cred:        c,
-		signedBytes: c.SignedBytes(),
-		chain:       chain,
-	})
+	e := &verifyCacheEntry{cred: c.Clone()}
+	for _, link := range chain {
+		e.chain = append(e.chain, link.Clone())
+	}
+	ts.cache.store(cacheKey(c), e)
 }
 
 // CacheStats snapshots the verification-cache counters.

@@ -1,6 +1,7 @@
 package pki
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -53,6 +54,23 @@ func TestVerifyCacheRejectsTamperedContent(t *testing.T) {
 	// And the original still verifies.
 	if err := ts.Verify(cred, now); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestVerifyCacheIgnoresCallerMutation(t *testing.T) {
+	ca := MustNewAuthority("CA")
+	ts := NewTrustStore(ca)
+	cred := issueTestCred(t, ca, "Badge")
+	if err := ts.Verify(cred, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	// The caller keeps the wire copy and later edits its own credential:
+	// the cache must still judge the wire copy by the window it was
+	// issued with, not by the caller's edit.
+	wire := cred.Clone()
+	cred.ValidUntil = cred.ValidUntil.Add(1000 * time.Hour)
+	if err := ts.Verify(wire, wire.ValidUntil.Add(time.Hour)); !errors.Is(err, ErrExpired) {
+		t.Fatalf("expired credential after caller mutation: err = %v, want ErrExpired", err)
 	}
 }
 

@@ -140,7 +140,9 @@ func (ts *TrustStore) verifyWithKey(c *xtnl.Credential, key ed25519.PublicKey, n
 // VerifyChain verifies a credential whose issuer may not be directly
 // trusted, using the supporting pool of AuthorityDelegation credentials
 // to build a chain up to a trusted root. It returns the chain of
-// delegation credentials used (empty when the issuer is a root).
+// delegation credentials used (empty when the issuer is a root); on a
+// cache hit these are the cache's own copies, which callers must not
+// modify.
 func (ts *TrustStore) VerifyChain(c *xtnl.Credential, pool []*xtnl.Credential, now time.Time) ([]*xtnl.Credential, error) {
 	if chain, ok := ts.cachedVerify(c, now); ok {
 		return chain, nil

@@ -10,6 +10,7 @@
 package wsrpc
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -66,7 +67,27 @@ func writeDOM(w http.ResponseWriter, n *xmldom.Node) {
 // readBodyDOM parses the request body as an XML document.
 func readBodyDOM(r *http.Request) (*xmldom.Node, error) {
 	defer r.Body.Close()
-	return xmldom.Parse(io.LimitReader(r.Body, maxBody))
+	return parseBody(r.Body, r.ContentLength)
+}
+
+// readBody reads a body of at most maxBody bytes, in one allocation
+// when the sender declared its length.
+func readBody(body io.Reader, declared int64) ([]byte, error) {
+	var b bytes.Buffer
+	if declared > 0 && declared <= maxBody {
+		b.Grow(int(declared) + bytes.MinRead)
+	}
+	_, err := b.ReadFrom(io.LimitReader(body, maxBody))
+	return b.Bytes(), err
+}
+
+// parseBody reads and parses an XML body.
+func parseBody(body io.Reader, declared int64) (*xmldom.Node, error) {
+	data, err := readBody(body, declared)
+	if err != nil {
+		return nil, err
+	}
+	return xmldom.ParseBytes(data)
 }
 
 // envelope wraps a TN message with its negotiation id:
@@ -140,7 +161,7 @@ func openEnvelopeSeq(root *xmldom.Node) (string, int64, *negotiation.Message, er
 // the expected root element.
 func decodeResponse(resp *http.Response, wantRoot string) (*xmldom.Node, error) {
 	defer resp.Body.Close()
-	root, err := xmldom.Parse(io.LimitReader(resp.Body, maxBody))
+	root, err := parseBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, fmt.Errorf("wsrpc: bad response (%s): %w", resp.Status, err)
 	}

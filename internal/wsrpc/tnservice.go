@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -161,10 +162,15 @@ func (s *TNService) shard(id string) *sessionShard {
 }
 
 type tnSession struct {
+	// endpoint is released once the negotiation finishes: for its
+	// DoneRetention window a finished session answers only status
+	// queries and replays, so it keeps outcome and the reply cache, not
+	// the tree, the received credentials or the message strings decoded
+	// from request bodies (which share those bodies' memory).
 	endpoint *negotiation.Endpoint
 	mu       sync.Mutex // one in-flight message per session
 	lastUsed time.Time
-	outcome  *negotiation.Outcome
+	outcome  *negotiation.Outcome // Succeeded and Reason only, once done
 	done     atomic.Bool
 	// deactivated records that the session's capacity slot (and its
 	// tn_sessions_active increment) has been released; see
@@ -687,7 +693,7 @@ func (s *TNService) exchangeHandler(phase phaseKind) http.HandlerFunc {
 			writeRaw(w, sess.lastReplyStatus, sess.lastReply)
 			return
 		}
-		if sess.endpoint.Done() {
+		if sess.endpoint == nil || sess.endpoint.Done() {
 			writeFault(w, http.StatusConflict, "done", "negotiation already finished")
 			return
 		}
@@ -696,7 +702,9 @@ func (s *TNService) exchangeHandler(phase phaseKind) http.HandlerFunc {
 		s.debugf("tn-message session=%s op=%s type=%s dur=%s err=%v",
 			id, phase, msg.Type, time.Since(start).Round(time.Microsecond), err != nil)
 		if sess.endpoint.Done() && !sess.done.Swap(true) {
-			sess.outcome = sess.endpoint.Outcome()
+			if out := sess.endpoint.Outcome(); out != nil {
+				sess.outcome = &negotiation.Outcome{Succeeded: out.Succeeded, Reason: strings.Clone(out.Reason)}
+			}
 			// retire() may lose to a concurrent expiry sweep or capacity
 			// eviction that already released this session's slot; the
 			// completed counter follows the same winner so a session is
@@ -718,9 +726,12 @@ func (s *TNService) exchangeHandler(phase phaseKind) http.HandlerFunc {
 			respBody = (&Fault{Code: "internal", Detail: err.Error()}).DOM().XML()
 		case reply == nil:
 			// Terminal message consumed; acknowledge with the outcome.
-			respBody = statusDOM(id, sess.endpoint).XML()
+			respBody = sess.statusDOM(id).XML()
 		default:
 			respBody = envelope(id, reply).XML()
+		}
+		if sess.done.Load() {
+			sess.endpoint = nil
 		}
 		if seq > 0 {
 			sess.lastSeq, sess.lastReplyStatus, sess.lastReply = seq, status, respBody
@@ -781,14 +792,19 @@ func (s *TNService) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	writeDOM(w, statusDOM(id, sess.endpoint))
+	writeDOM(w, sess.statusDOM(id))
 }
 
-func statusDOM(id string, e *negotiation.Endpoint) *xmldom.Node {
+// statusDOM reports the session's progress (caller holds sess.mu).
+func (sess *tnSession) statusDOM(id string) *xmldom.Node {
+	done, out := true, sess.outcome
+	if e := sess.endpoint; e != nil {
+		done, out = e.Done(), e.Outcome()
+	}
 	n := xmldom.NewElement("status").
 		SetAttr("negotiation", id).
-		SetAttr("done", boolStr(e.Done()))
-	if out := e.Outcome(); out != nil {
+		SetAttr("done", boolStr(done))
+	if out != nil {
 		n.SetAttr("succeeded", boolStr(out.Succeeded))
 		if out.Reason != "" {
 			n.SetAttr("reason", out.Reason)

@@ -1,7 +1,6 @@
 package wsrpc
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -172,11 +171,11 @@ func (t *Transport) once(ctx context.Context, method, url, op, body string) (*xm
 		return nil, &Error{Op: op, Temporary: ctx.Err() == nil, Err: err}
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
+	data, err := readBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, &Error{Op: op, Status: resp.StatusCode, Temporary: ctx.Err() == nil, Err: err}
 	}
-	root, perr := xmldom.Parse(bytes.NewReader(data))
+	root, perr := xmldom.ParseBytes(data)
 	if resp.StatusCode >= 400 {
 		e := &Error{
 			Op:         op,

@@ -217,7 +217,47 @@ var ErrNoRoot = errors.New("xmldom: document has no root element")
 // Parse reads an XML document from r and returns its root element.
 // Character data consisting entirely of whitespace between elements is
 // dropped; mixed content keeps its text verbatim. Comments are preserved.
+//
+// The document is read whole and scanned in a single pass (see
+// scan.go); documents outside the scanner's subset, and every malformed
+// document, go through encoding/xml instead, which reports the error.
 func Parse(r io.Reader) (*Node, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		// Replay what was read, then the same error, through the
+		// decoder, so a failing reader reports what it always did.
+		return decode(io.MultiReader(bytes.NewReader(data), errReader{err}))
+	}
+	return ParseBytes(data)
+}
+
+// ParseString is Parse over a string. The tree's names, attribute
+// values and entity-free text share s's memory.
+func ParseString(s string) (*Node, error) {
+	return parse(s)
+}
+
+// ParseBytes is Parse over a byte slice. The tree does not alias b, so
+// the caller may reuse the buffer once ParseBytes returns.
+func ParseBytes(b []byte) (*Node, error) {
+	return parse(string(b))
+}
+
+func parse(s string) (*Node, error) {
+	if root, ok := scan(s); ok {
+		return root, nil
+	}
+	return decode(strings.NewReader(s))
+}
+
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// decode builds the tree with encoding/xml's token loop. It handles
+// everything the scanner declines, and is the only source of parse
+// errors.
+func decode(r io.Reader) (*Node, error) {
 	dec := xml.NewDecoder(r)
 	var root *Node
 	var cur *Node
@@ -286,11 +326,6 @@ func hasTextChildren(n *Node) bool {
 		}
 	}
 	return false
-}
-
-// ParseString is Parse over a string.
-func ParseString(s string) (*Node, error) {
-	return Parse(strings.NewReader(s))
 }
 
 func qname(n xml.Name) string {
