@@ -78,6 +78,8 @@ type Authority struct {
 	mu      sync.Mutex
 	serial  uint64
 	revoked map[string]time.Time // credential ID -> revocation time
+
+	x509 x509State // X.509 attribute-certificate issuing (x509attr.go)
 }
 
 // nextSerial allocates the next credential serial number.

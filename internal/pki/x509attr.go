@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/big"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"trustvo/internal/xtnl"
@@ -33,6 +34,12 @@ var (
 	oidAttrHolderKey = asn1.ObjectIdentifier{1, 3, 6, 1, 4, 1, 55555, 2, 3}
 	oidAttrContent   = asn1.ObjectIdentifier{1, 3, 6, 1, 4, 1, 55555, 2, 4}
 	oidAttrSens      = asn1.ObjectIdentifier{1, 3, 6, 1, 4, 1, 55555, 2, 5}
+
+	derOIDAttrCredType  = mustDER(oidAttrCredType)
+	derOIDAttrCredID    = mustDER(oidAttrCredID)
+	derOIDAttrHolderKey = mustDER(oidAttrHolderKey)
+	derOIDAttrContent   = mustDER(oidAttrContent)
+	derOIDAttrSens      = mustDER(oidAttrSens)
 )
 
 // asn1Attr is the wire form of one content attribute.
@@ -41,29 +48,21 @@ type asn1Attr struct {
 	Value string
 }
 
-// x509State holds an authority's lazily created X.509 issuing state.
+// x509State is an Authority's X.509 issuing state, created on first
+// use: its self-signed CA certificate and the writer's pre-encoded
+// issuer half.
 type x509State struct {
 	once   sync.Once
 	caCert *x509.Certificate
-	caDER  []byte
+	iss    *certIssuer
 	err    error
-	serial int64
-	mu     sync.Mutex
+	serial atomic.Int64
 }
 
-// nextSerial allocates the next issued-certificate counter value.
-func (st *x509State) nextSerial() int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.serial++
-	return st.serial
-}
-
-var x509States sync.Map // *Authority -> *x509State
-
-func (a *Authority) x509state() (*x509State, error) {
-	v, _ := x509States.LoadOrStore(a, &x509State{})
-	st := v.(*x509State)
+// x509Issuer returns the authority's certificate writer, creating its CA
+// certificate on first use.
+func (a *Authority) x509Issuer() (*certIssuer, error) {
+	st := &a.x509
 	st.once.Do(func() {
 		tmpl := &x509.Certificate{
 			SerialNumber:          big.NewInt(1),
@@ -75,14 +74,17 @@ func (a *Authority) x509state() (*x509State, error) {
 			BasicConstraintsValid: true,
 		}
 		der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, a.Keys.Public, a.Keys.Private)
+		if err == nil {
+			st.caCert, err = x509.ParseCertificate(der)
+		}
+		if err == nil {
+			st.iss, err = newCertIssuer(st.caCert)
+		}
 		if err != nil {
 			st.err = fmt.Errorf("pki: x509 CA for %s: %w", a.Name, err)
-			return
 		}
-		st.caDER = der
-		st.caCert, st.err = x509.ParseCertificate(der)
 	})
-	return st, st.err
+	return st.iss, st.err
 }
 
 // IssueX509Attribute mints the credential in both encodings: the X-TNL
@@ -106,20 +108,12 @@ func (a *Authority) EncodeX509Attribute(cred *xtnl.Credential) ([]byte, error) {
 	if cred.Issuer != a.Name {
 		return nil, fmt.Errorf("pki: credential %s issued by %q, not by %q", cred.ID, cred.Issuer, a.Name)
 	}
-	st, err := a.x509state()
+	iss, err := a.x509Issuer()
 	if err != nil {
 		return nil, err
 	}
-	serial := st.nextSerial() + 1 // serial 1 is the CA certificate itself
+	serial := a.x509.serial.Add(1) + 1 // serial 1 is the CA certificate itself
 
-	attrs := make([]asn1Attr, len(cred.Attributes))
-	for i, at := range cred.Attributes {
-		attrs[i] = asn1Attr{Name: at.Name, Value: at.Value}
-	}
-	contentDER, err := asn1.Marshal(attrs)
-	if err != nil {
-		return nil, fmt.Errorf("pki: encode attributes: %w", err)
-	}
 	notBefore := cred.ValidFrom
 	if notBefore.IsZero() {
 		notBefore = time.Now().Add(-time.Minute)
@@ -138,28 +132,32 @@ func (a *Authority) EncodeX509Attribute(cred *xtnl.Credential) ([]byte, error) {
 		}
 		subjectKey = kp.Public
 	}
-	tmpl := &x509.Certificate{
-		SerialNumber: big.NewInt(serial),
-		Subject:      pkix.Name{CommonName: cred.Holder},
-		NotBefore:    notBefore,
-		NotAfter:     notAfter,
-		KeyUsage:     x509.KeyUsageDigitalSignature,
-		ExtraExtensions: []pkix.Extension{
-			{Id: oidAttrCredType, Value: mustASN1(cred.Type)},
-			{Id: oidAttrCredID, Value: mustASN1(cred.ID)},
-			{Id: oidAttrSens, Value: mustASN1(cred.Sensitivity.String())},
-			{Id: oidAttrContent, Value: contentDER},
-		},
-	}
-	if len(cred.HolderKey) == ed25519.PublicKeySize {
-		tmpl.ExtraExtensions = append(tmpl.ExtraExtensions,
-			pkix.Extension{Id: oidAttrHolderKey, Value: append([]byte(nil), cred.HolderKey...)})
-	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, st.caCert, subjectKey, a.Keys.Private)
+	der, err := mintAttribute(iss, a.Keys.Private, serial, cred, notBefore, notAfter, subjectKey)
 	if err != nil {
 		return nil, fmt.Errorf("pki: encode x509 attribute cert: %w", err)
 	}
 	return der, nil
+}
+
+// mintAttribute writes the attribute certificate for cred, signed by
+// priv: subject CN=holder, and after the KeyUsage and
+// AuthorityKeyIdentifier extensions the credential type, ID,
+// sensitivity, content attributes and, when present, the holder key.
+func mintAttribute(iss *certIssuer, priv ed25519.PrivateKey, serial int64, cred *xtnl.Credential,
+	notBefore, notAfter time.Time, subjectKey ed25519.PublicKey) ([]byte, error) {
+	hint := len(cred.Holder) + len(cred.Type) + len(cred.ID) + len(cred.HolderKey) + 128
+	for _, at := range cred.Attributes {
+		hint += len(at.Name) + len(at.Value) + 8
+	}
+	w := iss.begin(priv, hint, serial, notBefore, notAfter, nil, cred.Holder, subjectKey)
+	w.extString(derOIDAttrCredType, cred.Type)
+	w.extString(derOIDAttrCredID, cred.ID)
+	w.extString(derOIDAttrSens, cred.Sensitivity.String())
+	w.extAttrs(derOIDAttrContent, cred.Attributes)
+	if len(cred.HolderKey) == ed25519.PublicKeySize {
+		w.extBytes(derOIDAttrHolderKey, cred.HolderKey)
+	}
+	return w.finish()
 }
 
 // DecodeX509Attribute parses an X.509 attribute certificate into its

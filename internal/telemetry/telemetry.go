@@ -13,7 +13,6 @@ package telemetry
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -91,56 +90,75 @@ type series struct {
 
 // key renders the canonical series identity: name{k="v",...}.
 func (s series) key() string {
-	if len(s.labels) == 0 {
-		return s.name
-	}
-	var b strings.Builder
-	b.WriteString(s.name)
-	b.WriteByte('{')
-	writeLabels(&b, s.labels)
-	b.WriteByte('}')
-	return b.String()
+	return string(appendSeriesKey(nil, s.name, s.labels))
 }
 
-func writeLabels(b *strings.Builder, labels []string) {
+// labelOrder appends to dst the index of each key in the alternating
+// key/value labels, in stable key order; a dangling key is dropped.
+func labelOrder(dst []int, labels []string) []int {
 	for i := 0; i+1 < len(labels); i += 2 {
-		if i > 0 {
-			b.WriteByte(',')
+		j := len(dst)
+		dst = append(dst, i)
+		for ; j > 0 && labels[dst[j-1]] > labels[i]; j-- {
+			dst[j] = dst[j-1]
 		}
-		b.WriteString(labels[i])
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(labels[i+1]))
-		b.WriteByte('"')
+		dst[j] = i
 	}
+	return dst
 }
 
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, "\"\\\n") {
-		return v
+// appendSeriesKey renders the canonical identity of name and labels
+// into dst. Up to 16 label pairs are ordered through a stack index
+// array, so rendering into a stack buffer allocates nothing.
+func appendSeriesKey(dst []byte, name string, labels []string) []byte {
+	dst = append(dst, name...)
+	if len(labels) < 2 {
+		return dst
 	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+	var buf [16]int
+	dst = append(dst, '{')
+	for n, i := range labelOrder(buf[:0], labels) {
+		if n > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, labels[i]...)
+		dst = append(dst, `="`...)
+		dst = appendEscapedLabel(dst, labels[i+1])
+		dst = append(dst, '"')
+	}
+	return append(dst, '}')
 }
 
+func appendEscapedLabel(dst []byte, v string) []byte {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
+		case '\\':
+			dst = append(dst, `\\`...)
+		case '"':
+			dst = append(dst, `\"`...)
+		case '\n':
+			dst = append(dst, `\n`...)
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
+// makeSeries copies name/labels into a registered series with its label
+// pairs in canonical order.
 func makeSeries(name string, labels []string) series {
-	if len(labels)%2 != 0 {
-		labels = labels[:len(labels)-1] // drop a dangling key
+	order := labelOrder(nil, labels)
+	sorted := make([]string, 0, 2*len(order))
+	for _, i := range order {
+		sorted = append(sorted, labels[i], labels[i+1])
 	}
-	if len(labels) > 2 {
-		// sort pairs by key for a canonical identity
-		type kv struct{ k, v string }
-		pairs := make([]kv, 0, len(labels)/2)
-		for i := 0; i+1 < len(labels); i += 2 {
-			pairs = append(pairs, kv{labels[i], labels[i+1]})
-		}
-		sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-		labels = labels[:0:0]
-		for _, p := range pairs {
-			labels = append(labels, p.k, p.v)
-		}
-	}
-	return series{name: name, labels: labels}
+	return series{name: name, labels: sorted}
 }
+
+// keyBufSize bounds the stack buffer a lookup renders its series key
+// into; longer keys spill to the heap.
+const keyBufSize = 256
 
 // Registry is a named collection of metrics. The zero value is not
 // usable; call NewRegistry. A nil *Registry is valid everywhere and
@@ -183,15 +201,15 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	s := makeSeries(name, labels)
-	k := s.key()
+	var buf [keyBufSize]byte
+	k := appendSeriesKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if cs, ok := r.counters[k]; ok {
+	if cs, ok := r.counters[string(k)]; ok {
 		return cs.c
 	}
-	cs := &counterSeries{series: s, c: &Counter{}}
-	r.counters[k] = cs
+	cs := &counterSeries{series: makeSeries(name, labels), c: &Counter{}}
+	r.counters[string(k)] = cs
 	return cs.c
 }
 
@@ -200,15 +218,15 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	s := makeSeries(name, labels)
-	k := s.key()
+	var buf [keyBufSize]byte
+	k := appendSeriesKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if gs, ok := r.gauges[k]; ok {
+	if gs, ok := r.gauges[string(k)]; ok {
 		return gs.g
 	}
-	gs := &gaugeSeries{series: s, g: &Gauge{}}
-	r.gauges[k] = gs
+	gs := &gaugeSeries{series: makeSeries(name, labels), g: &Gauge{}}
+	r.gauges[string(k)] = gs
 	return gs.g
 }
 
@@ -220,15 +238,15 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *
 	if r == nil {
 		return nil
 	}
-	s := makeSeries(name, labels)
-	k := s.key()
+	var buf [keyBufSize]byte
+	k := appendSeriesKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if hs, ok := r.histories[k]; ok {
+	if hs, ok := r.histories[string(k)]; ok {
 		return hs.h
 	}
-	hs := &histogramSeries{series: s, h: newHistogram(buckets)}
-	r.histories[k] = hs
+	hs := &histogramSeries{series: makeSeries(name, labels), h: newHistogram(buckets)}
+	r.histories[string(k)] = hs
 	return hs.h
 }
 

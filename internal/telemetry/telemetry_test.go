@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -47,6 +48,52 @@ func TestSeriesIdentity(t *testing.T) {
 	}
 	if c := r.Counter("hits_total", "route", "/y", "code", "200"); c == a {
 		t.Fatal("distinct labels collided")
+	}
+	// a dangling key is dropped; escaped values keep their identity
+	if r.Counter("hits_total", "route", "/x", "code", "200", "dangling") != a {
+		t.Fatal("dangling label key changed series identity")
+	}
+	q := r.Gauge("q", "v", "a\"b\nc\\", "k", "1")
+	if r.Gauge("q", "k", "1", "v", "a\"b\nc\\") != q {
+		t.Fatal("escaped label lost series identity")
+	}
+	if got, want := (series{name: "q", labels: []string{"k", "1", "v", "a\"b\nc\\"}}).key(),
+		`q{k="1",v="a\"b\nc\\"}`; got != want {
+		t.Fatalf("key = %s, want %s", got, want)
+	}
+	// more pairs than the stack index array holds, in reverse order
+	var fwd, rev []string
+	for i := 0; i < 20; i++ {
+		fwd = append(fwd, fmt.Sprintf("k%02d", i), "v")
+		rev = append([]string{fmt.Sprintf("k%02d", i), "v"}, rev...)
+	}
+	if r.Counter("wide", fwd...) != r.Counter("wide", rev...) {
+		t.Fatal("label order changed identity of a wide series")
+	}
+}
+
+// TestRegistryLookupHitAllocatesNothing guards the lookup of an already
+// registered series: the key is rendered on the stack, in any label order.
+func TestRegistryLookupHitAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("tn_messages_total", "role", "controller", "op", "start", "code", "2xx")
+	r.Gauge("tn_sessions_active", "role", "controller")
+	r.LatencyHistogram("http_request_seconds", "route", "/tn/start", "code", "2xx")
+	if n := testing.AllocsPerRun(100, func() {
+		r.Counter("tn_messages_total", "op", "start", "code", "2xx", "role", "controller").Inc()
+		r.Gauge("tn_sessions_active", "role", "controller").Inc()
+		r.LatencyHistogram("http_request_seconds", "route", "/tn/start", "code", "2xx").Observe(0.001)
+	}); n != 0 {
+		t.Fatalf("registry lookup hits allocate %.1f times", n)
+	}
+}
+
+func BenchmarkRegistryLookupHit(b *testing.B) {
+	r := NewRegistry()
+	r.Counter("tn_messages_total", "role", "controller", "op", "start", "code", "2xx")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Counter("tn_messages_total", "op", "start", "code", "2xx", "role", "controller").Inc()
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -363,19 +362,19 @@ func (n *Node) XML() string {
 	return s
 }
 
-// sortedAttrs returns the attributes in name order, reusing the node's
-// own slice when it is already sorted (the common case: trees built via
-// SetAttr in order, or parsed from canonical output).
-func (n *Node) sortedAttrs() []Attr {
-	for i := 1; i < len(n.Attrs); i++ {
-		if n.Attrs[i].Name < n.Attrs[i-1].Name {
-			attrs := make([]Attr, len(n.Attrs))
-			copy(attrs, n.Attrs)
-			sort.Slice(attrs, func(a, b int) bool { return attrs[a].Name < attrs[b].Name })
-			return attrs
+// attrOrder appends to dst the indexes of n.Attrs in name order (stable
+// among equal names). Callers pass a 16-entry stack array, so ordering
+// attributes set out of name order allocates nothing up to that count.
+func (n *Node) attrOrder(dst []int) []int {
+	for i := range n.Attrs {
+		j := len(dst)
+		dst = append(dst, i)
+		for ; j > 0 && n.Attrs[dst[j-1]].Name > n.Attrs[i].Name; j-- {
+			dst[j] = dst[j-1]
 		}
+		dst[j] = i
 	}
-	return n.Attrs
+	return dst
 }
 
 func (n *Node) writeXML(b *bytes.Buffer) {
@@ -389,7 +388,9 @@ func (n *Node) writeXML(b *bytes.Buffer) {
 	case ElementNode:
 		b.WriteByte('<')
 		b.WriteString(n.Name)
-		for _, a := range n.sortedAttrs() {
+		var order [16]int
+		for _, i := range n.attrOrder(order[:0]) {
+			a := &n.Attrs[i]
 			b.WriteByte(' ')
 			b.WriteString(a.Name)
 			b.WriteString(`="`)
@@ -435,7 +436,9 @@ func (n *Node) writeIndented(b *strings.Builder, depth int) {
 		b.WriteString(ind)
 		b.WriteByte('<')
 		b.WriteString(n.Name)
-		for _, a := range n.sortedAttrs() {
+		var order [16]int
+		for _, i := range n.attrOrder(order[:0]) {
+			a := &n.Attrs[i]
 			b.WriteByte(' ')
 			b.WriteString(a.Name)
 			b.WriteString(`="`)

@@ -1,6 +1,7 @@
 package xmldom
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -71,6 +72,43 @@ func TestXMLCanonicalAttributeOrder(t *testing.T) {
 	}
 	if want := `<x a="1" b="2"/>`; a.XML() != want {
 		t.Fatalf("canonical = %q, want %q", a.XML(), want)
+	}
+}
+
+// TestUnsortedAttributesSerialize covers elements whose attributes were
+// set out of name order, below and above the 16 ordered on the stack:
+// output is in name order, the node keeps its own order, and ordering
+// costs no allocation.
+func TestUnsortedAttributesSerialize(t *testing.T) {
+	for _, n := range []int{2, 16, 17, 40} {
+		e := NewElement("m")
+		var want strings.Builder
+		want.WriteString("<m")
+		for i := n - 1; i >= 0; i-- {
+			e.SetAttr(fmt.Sprintf("a%02d", i), fmt.Sprintf("v%d&", i))
+		}
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&want, ` a%02d="v%d&amp;"`, i, i)
+		}
+		want.WriteString("/>")
+		if got := e.XML(); got != want.String() {
+			t.Fatalf("%d attributes: XML() = %s, want %s", n, got, want.String())
+		}
+		if got := e.Indented(); got != want.String()+"\n" {
+			t.Fatalf("%d attributes: Indented() = %s, want %s", n, got, want.String())
+		}
+		if e.Attrs[0].Name != fmt.Sprintf("a%02d", n-1) {
+			t.Fatalf("%d attributes: serializing reordered the node", n)
+		}
+	}
+	sorted := NewElement("tn").SetAttr("from", "A").SetAttr("type", "start")
+	unsorted := NewElement("tn").SetAttr("type", "start").SetAttr("from", "A")
+	if sorted.XML() != unsorted.XML() {
+		t.Fatalf("%s != %s", sorted.XML(), unsorted.XML())
+	}
+	if a, b := testing.AllocsPerRun(50, func() { sorted.XML() }),
+		testing.AllocsPerRun(50, func() { unsorted.XML() }); a != b {
+		t.Fatalf("XML() allocates %.0f times for sorted attributes, %.0f for unsorted", a, b)
 	}
 }
 
