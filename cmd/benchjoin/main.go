@@ -57,7 +57,6 @@ func main() {
 
 		concurrency = flag.Int("concurrency", 0, "run the throughput mode with this many simultaneous joiners instead of the Fig. 9 timing")
 		joins       = flag.Int("joins", 0, "total joins in throughput mode (default 25 per worker)")
-		baseline    = flag.Bool("baseline", false, "throughput mode: single lock stripe and no verification cache (the before half of the A/B)")
 		out         = flag.String("out", "BENCH_throughput.json", "throughput mode: JSON report path (empty to skip)")
 
 		storeMode = flag.Bool("store", false, "run the durable-write store A/B (group commit vs fsync-every-put, EXT-12) instead of the Fig. 9 timing")
@@ -88,7 +87,7 @@ func main() {
 		if total <= 0 {
 			total = *concurrency * 25
 		}
-		if err := runThroughput(os.Stdout, *concurrency, total, *baseline, *out); err != nil {
+		if err := runThroughput(os.Stdout, *concurrency, total, *out); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"trustvo/internal/store"
-	"trustvo/internal/store/cacher"
 	"trustvo/internal/telemetry"
 )
 
@@ -34,48 +33,6 @@ type storeBenchReport struct {
 	Group   storeModeStats `json:"group_commit"`
 	// Speedup is group-commit puts/sec over every-op puts/sec.
 	Speedup float64 `json:"speedup"`
-	// Backends is the v2 write matrix: the group-commit workload run once
-	// per storage backend (fswal duplicates Group, kept for comparison in
-	// one place; memory bounds what the WAL costs).
-	Backends map[string]storeModeStats `json:"backends"`
-	// Cache is the v2 read A/B (EXT-14): the hot party-record read
-	// workload per backend, cache off vs on.
-	Cache cacheBenchReport `json:"cache"`
-}
-
-// cacheBenchReport describes the read-through cache A/B.
-type cacheBenchReport struct {
-	Readers int     `json:"readers"`
-	Reads   int     `json:"reads_per_side"`
-	TTLMS   float64 `json:"ttl_ms"`
-	// PerBackend maps backend name -> its off/on halves.
-	PerBackend map[string]cacheABStats `json:"per_backend"`
-}
-
-// cacheABStats is one backend's off/on pair.
-type cacheABStats struct {
-	Off cacheSideStats `json:"cache_off"`
-	On  cacheSideStats `json:"cache_on"`
-	// Speedup is on reads/sec over off reads/sec.
-	Speedup float64 `json:"speedup"`
-}
-
-// cacheSideStats is one half of a cache A/B.
-type cacheSideStats struct {
-	ElapsedMS    float64   `json:"elapsed_ms"`
-	ReadsPerSec  float64   `json:"reads_per_sec"`
-	ReadLatencyM latencyMS `json:"read_latency_ms"`
-	// Cache counters (zero with the cache off). MissesPerTTLWindow is the
-	// acceptance criterion: with singleflight coalescing, the hot record
-	// costs at most ~1 backend fetch per TTL window however many readers
-	// hammer it, so this stays ≈1. CoalescedGEMisses records that the
-	// coalesced-wait counter is at least the miss counter (each refetch
-	// had other readers piled on it).
-	Hits               uint64  `json:"hits"`
-	Misses             uint64  `json:"misses"`
-	Coalesced          uint64  `json:"coalesced"`
-	MissesPerTTLWindow float64 `json:"misses_per_ttl_window"`
-	CoalescedGEMisses  bool    `json:"coalesced_ge_misses"`
 }
 
 // storeModeStats is one half of the A/B.
@@ -115,7 +72,7 @@ func runStoreBench(w *os.File, writers, puts int, outPath string) error {
 	}
 
 	rep := storeBenchReport{
-		Schema:  "trustvo.benchjoin.store/v2",
+		Schema:  "trustvo.benchjoin.store/v3",
 		Writers: writers,
 		Puts:    puts,
 		EveryOp: every,
@@ -133,27 +90,6 @@ func runStoreBench(w *os.File, writers, puts int, outPath string) error {
 			row.s.Fsyncs, row.s.MeanBatch)
 	}
 	fmt.Fprintf(w, "  speedup: %.2fx\n", rep.Speedup)
-
-	// v2 write matrix: the same group-commit workload once per backend.
-	rep.Backends = map[string]storeModeStats{}
-	fmt.Fprintf(w, "\n  write matrix (group commit, per backend)\n")
-	fmt.Fprintf(w, "  %-22s %10s %12s %10s\n", "backend", "puts/sec", "p50 / p99", "fsyncs")
-	for _, backend := range store.BackendKinds() {
-		s, err := storeBenchBackend(filepath.Join(dir, backend+".wal"), backend, writers, puts)
-		if err != nil {
-			return fmt.Errorf("%s write pass: %w", backend, err)
-		}
-		rep.Backends[backend] = s
-		fmt.Fprintf(w, "  %-22s %10.0f %5.2f/%5.2fms %10d\n",
-			backend, s.PutsPerSec, s.PutLatencyMS.P50, s.PutLatencyMS.P99, s.Fsyncs)
-	}
-
-	// v2 read A/B (EXT-14): the hot party-record workload, cache off/on.
-	cache, err := runCacheBench(w, dir)
-	if err != nil {
-		return err
-	}
-	rep.Cache = cache
 
 	if outPath != "" {
 		f, err := os.Create(outPath)
@@ -174,21 +110,11 @@ func runStoreBench(w *os.File, writers, puts int, outPath string) error {
 	return nil
 }
 
-// storeBenchBackend runs the group-commit write workload against one
-// storage backend.
-func storeBenchBackend(path, backend string, writers, puts int) (storeModeStats, error) {
-	return storeBenchRun(path, store.Options{Backend: backend, Durability: store.DurabilityGroup}, writers, puts)
-}
-
 // storeBenchMode drives the concurrent put workload against a fresh
 // fswal store opened with durability d and collects the mode's stats.
 func storeBenchMode(path string, d store.Durability, writers, puts int) (storeModeStats, error) {
-	return storeBenchRun(path, store.Options{Durability: d}, writers, puts)
-}
-
-func storeBenchRun(path string, opts store.Options, writers, puts int) (storeModeStats, error) {
 	reg := telemetry.NewRegistry()
-	s, err := store.OpenWithOptions(path, opts)
+	s, err := store.OpenWithOptions(path, store.Options{Durability: d})
 	if err != nil {
 		return storeModeStats{}, err
 	}
@@ -261,152 +187,6 @@ func storeBenchRun(path string, opts store.Options, writers, puts int) (storeMod
 	}
 	if fsyncs > 0 {
 		stats.MeanBatch = float64(appends) / float64(fsyncs)
-	}
-	return stats, nil
-}
-
-// Cache A/B (EXT-14): 32 readers repeat the hot party reload — list the
-// credential kind and parse every record, the read pattern of N
-// concurrent StartNegotiation calls rebuilding the same controller
-// profile — against each backend, once reading the store directly and
-// once through the coalescing read-through cache. The claim under test:
-// with singleflight + TTL, the hot record set costs at most ~one backend
-// fetch per TTL window regardless of reader count, and every refetch has
-// other readers coalesced onto it (coalesced >= misses).
-const (
-	cacheReaders  = 32
-	cacheReads    = 32_000 // total reads per half
-	cacheTTL      = 5 * time.Millisecond
-	cacheColdKeys = 64 // cold records seeded alongside the hot one
-)
-
-func runCacheBench(w *os.File, dir string) (cacheBenchReport, error) {
-	rep := cacheBenchReport{
-		Readers:    cacheReaders,
-		Reads:      cacheReads,
-		TTLMS:      durMS(cacheTTL),
-		PerBackend: map[string]cacheABStats{},
-	}
-	fmt.Fprintf(w, "\n  read cache A/B (EXT-14): %d readers, %d reads, hot key, ttl %s\n",
-		cacheReaders, cacheReads, cacheTTL)
-	fmt.Fprintf(w, "  %-10s %14s %14s %8s %26s\n",
-		"backend", "off reads/s", "on reads/s", "speedup", "misses/window  coal>=miss")
-	for _, backend := range store.BackendKinds() {
-		ab, err := cacheBenchBackend(filepath.Join(dir, "cache-"+backend+".wal"), backend)
-		if err != nil {
-			return rep, fmt.Errorf("%s cache pass: %w", backend, err)
-		}
-		rep.PerBackend[backend] = ab
-		fmt.Fprintf(w, "  %-10s %14.0f %14.0f %7.2fx %15.2f  %10v\n",
-			backend, ab.Off.ReadsPerSec, ab.On.ReadsPerSec, ab.Speedup,
-			ab.On.MissesPerTTLWindow, ab.On.CoalescedGEMisses)
-	}
-	return rep, nil
-}
-
-func cacheBenchBackend(path, backend string) (cacheABStats, error) {
-	s, err := store.OpenWithOptions(path, store.Options{Backend: backend, Durability: store.DurabilityGroup})
-	if err != nil {
-		return cacheABStats{}, err
-	}
-	defer s.Destroy()
-	// One hot party record plus a cold tail, as a real party DB holds.
-	if err := s.PutXML("credential", "hot/party", `<credential type="ISOCert"><issuer>CA</issuer></credential>`); err != nil {
-		return cacheABStats{}, err
-	}
-	for i := 0; i < cacheColdKeys; i++ {
-		if err := s.PutXML("credential", fmt.Sprintf("cold/%d", i), fmt.Sprintf(`<credential type="t%d"/>`, i%7)); err != nil {
-			return cacheABStats{}, err
-		}
-	}
-
-	// The reload shape: every credential of the kind, parsed. Reading the
-	// store directly re-parses each defensive copy per reader; the cached
-	// reload shares one pre-parsed fill per TTL window.
-	off, err := cacheBenchSide(func() error { return parseAll(s.List("credential")) }, nil)
-	if err != nil {
-		return cacheABStats{}, err
-	}
-	c := cacher.New(s, cacheTTL)
-	on, err := cacheBenchSide(func() error { return parseAll(c.List("credential")) }, c)
-	if err != nil {
-		return cacheABStats{}, err
-	}
-	return cacheABStats{Off: off, On: on, Speedup: on.ReadsPerSec / off.ReadsPerSec}, nil
-}
-
-// parseAll forces the DOM of every record, as LoadProfile does.
-func parseAll(recs []*store.Record) error {
-	for _, r := range recs {
-		if _, err := r.Doc(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// cacheBenchSide runs one half of the A/B: cacheReaders goroutines share
-// cacheReads calls to read.
-func cacheBenchSide(read func() error, c *cacher.Cache) (cacheSideStats, error) {
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		samples []time.Duration
-		firstMu sync.Mutex
-		runErr  error
-	)
-	perReader := cacheReads / cacheReaders
-	// All readers fire together: the opening burst is the dogpile the
-	// cache exists to absorb, so it must be part of the measurement.
-	start := make(chan struct{})
-	for r := 0; r < cacheReaders; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			local := make([]time.Duration, 0, perReader)
-			for i := 0; i < perReader; i++ {
-				js := time.Now()
-				if err := read(); err != nil {
-					firstMu.Lock() //lint:allow nakedlock three-line first-error record, no early return
-					if runErr == nil {
-						runErr = err
-					}
-					firstMu.Unlock()
-					return
-				}
-				local = append(local, time.Since(js))
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			samples = append(samples, local...)
-		}()
-	}
-	t0 := time.Now()
-	close(start)
-	wg.Wait()
-	elapsed := time.Since(t0)
-	if runErr != nil {
-		return cacheSideStats{}, runErr
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	stats := cacheSideStats{
-		ElapsedMS:   durMS(elapsed),
-		ReadsPerSec: float64(len(samples)) / elapsed.Seconds(),
-		ReadLatencyM: latencyMS{
-			P50: durMS(percentile(samples, 0.50)),
-			P95: durMS(percentile(samples, 0.95)),
-			P99: durMS(percentile(samples, 0.99)),
-		},
-	}
-	if c != nil {
-		st := c.Stats()
-		stats.Hits, stats.Misses, stats.Coalesced = st.Hits, st.Misses, st.Coalesced
-		windows := float64(elapsed) / float64(cacheTTL)
-		if windows > 0 {
-			stats.MissesPerTTLWindow = float64(st.Misses) / windows
-		}
-		stats.CoalescedGEMisses = st.Coalesced >= st.Misses
 	}
 	return stats, nil
 }

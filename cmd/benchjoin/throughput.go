@@ -23,10 +23,7 @@ import (
 // its own member identity and credentials, drive repeated standalone
 // negotiations against ONE TN service — the load pattern of many parties
 // joining a VO at once, which Fig. 9 times one join at a time. The run
-// measures aggregate joins/sec plus per-join latency percentiles, and
-// the -baseline flag re-runs the identical load with the verification
-// cache disabled and the session table collapsed to a single lock
-// stripe, which is the before/after pair EXPERIMENTS.md records.
+// measures aggregate joins/sec plus per-join latency percentiles.
 
 // throughputReport is the -concurrency JSON schema (BENCH_throughput.json).
 type throughputReport struct {
@@ -34,8 +31,6 @@ type throughputReport struct {
 	Concurrency int     `json:"concurrency"`
 	Joins       int     `json:"joins"`
 	Failed      int     `json:"failed"`
-	Baseline    bool    `json:"baseline"`
-	Shards      int     `json:"shards"`
 	ElapsedMS   float64 `json:"elapsed_ms"`
 	JoinsPerSec float64 `json:"joins_per_sec"`
 	// JoinLatencyMS are whole-join client-side percentiles; the per-phase
@@ -64,13 +59,12 @@ type throughputEnv struct {
 	members []*negotiation.Party
 }
 
-func newThroughputEnv(workers int, baseline bool) (*throughputEnv, error) {
+func newThroughputEnv(workers int) (*throughputEnv, error) {
 	ca, err := pki.NewAuthority("CertCA")
 	if err != nil {
 		return nil, err
 	}
 	trust := pki.NewTrustStore(ca)
-	trust.DisableCache = baseline
 	ctl := &negotiation.Party{
 		Name:    "AircraftCo",
 		Profile: xtnl.NewProfile("AircraftCo"),
@@ -83,9 +77,6 @@ func newThroughputEnv(workers int, baseline bool) (*throughputEnv, error) {
 	reg := telemetry.NewRegistry()
 	svc := wsrpc.NewTNService(ctl)
 	svc.Metrics = reg
-	if baseline {
-		svc.Shards = 1
-	}
 	mux := http.NewServeMux()
 	svc.Register(mux)
 	srv := httptest.NewServer(mux)
@@ -118,14 +109,14 @@ func newThroughputEnv(workers int, baseline bool) (*throughputEnv, error) {
 
 // runThroughput drives `joins` negotiations over `workers` goroutines
 // and writes the throughput report to outPath.
-func runThroughput(w *os.File, workers, joins int, baseline bool, outPath string) error {
+func runThroughput(w *os.File, workers, joins int, outPath string) error {
 	if workers < 1 {
 		workers = 1
 	}
 	if joins < workers {
 		joins = workers
 	}
-	e, err := newThroughputEnv(workers, baseline)
+	e, err := newThroughputEnv(workers)
 	if err != nil {
 		return err
 	}
@@ -190,12 +181,10 @@ func runThroughput(w *os.File, workers, joins int, baseline bool, outPath string
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 	stats := e.trust.CacheStats()
 	rep := throughputReport{
-		Schema:      "trustvo.benchjoin.throughput/v1",
+		Schema:      "trustvo.benchjoin.throughput/v2",
 		Concurrency: workers,
 		Joins:       joins,
 		Failed:      len(failures),
-		Baseline:    baseline,
-		Shards:      shardsOf(baseline),
 		ElapsedMS:   durMS(elapsed),
 		JoinsPerSec: float64(len(samples)) / elapsed.Seconds(),
 		JoinLatencyMS: latencyMS{
@@ -214,11 +203,7 @@ func runThroughput(w *os.File, workers, joins int, baseline bool, outPath string
 		Telemetry: e.reg.Report(),
 	}
 
-	mode := "striped+cached"
-	if baseline {
-		mode = "baseline (1 shard, no verify cache)"
-	}
-	fmt.Fprintf(w, "throughput — %d workers, %d joins, %s\n", workers, joins, mode)
+	fmt.Fprintf(w, "throughput — %d workers, %d joins\n", workers, joins)
 	fmt.Fprintf(w, "  joins/sec:   %.1f (%d joins in %v, %d failed)\n",
 		rep.JoinsPerSec, len(samples), elapsed.Round(time.Millisecond), len(failures))
 	fmt.Fprintf(w, "  latency:     p50 %.3f ms   p95 %.3f ms   p99 %.3f ms\n",
@@ -249,13 +234,6 @@ func runThroughput(w *os.File, workers, joins int, baseline bool, outPath string
 		return fmt.Errorf("%d of %d joins failed", len(failures), joins)
 	}
 	return nil
-}
-
-func shardsOf(baseline bool) int {
-	if baseline {
-		return 1
-	}
-	return wsrpc.DefaultSessionShards
 }
 
 func sumCompleted(reg *telemetry.Registry) int64 {

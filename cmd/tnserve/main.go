@@ -39,7 +39,6 @@ import (
 	"trustvo/internal/partydb"
 	"trustvo/internal/pki"
 	"trustvo/internal/store"
-	"trustvo/internal/store/cacher"
 	"trustvo/internal/telemetry"
 	"trustvo/internal/wsrpc"
 )
@@ -53,12 +52,6 @@ func main() {
 		dbPath   = flag.String("db", "", "WAL-backed document store for policies and credentials; "+
 			"the party's profile and policies are written to it at startup and every "+
 			"StartNegotiation reloads them from it (the paper's §6.2 DB path)")
-		dbBackend = flag.String("db.backend", store.BackendFSWAL,
-			"storage backend for -db: "+strings.Join(store.BackendKinds(), "|")+
-				" (memory keeps nothing across restarts)")
-		dbCacheTTL = flag.Duration("db.cachettl", cacher.DefaultTTL,
-			"TTL of the read-through party cache over -db; 0 disables the cache "+
-				"(reads then hit the store directly on every reload)")
 		verbose = flag.Bool("v", false, "log one line per negotiation message handled "+
 			"(TRUSTVO_DEBUG=1 does the same)")
 		reportPath = flag.String("report", "", "write a JSON telemetry report to this file on shutdown")
@@ -147,7 +140,7 @@ func main() {
 		// negotiations must survive a crash, and group commit keeps the
 		// fsync cost shared across concurrent session writes. In cluster
 		// mode every commit also feeds the replication log.
-		opts := store.Options{Backend: *dbBackend, Durability: store.DurabilityGroup}
+		opts := store.Options{Durability: store.DurabilityGroup}
 		if node != nil {
 			opts.OnCommit = node.OnCommit
 		}
@@ -167,21 +160,19 @@ func main() {
 			log.Fatal(err)
 		}
 		svc.DB = db
-		if *dbCacheTTL > 0 {
-			// Read-through coalescing cache for the hot party reload:
-			// commits (including replicated applies) invalidate it, so it
-			// only trades backend reads, never freshness.
-			c := cacher.New(db, *dbCacheTTL)
-			c.Instrument(svc.Metrics)
-			svc.PartyReader = c
-		}
-		log.Printf("policies and credentials stored in %s (backend %s, cache ttl %s)",
-			*dbPath, *dbBackend, *dbCacheTTL)
+		log.Printf("policies and credentials stored in %s", *dbPath)
 		// pick up negotiations a previous run suspended on shutdown
 		if n, err := svc.ResumeSessions(db); err != nil {
 			log.Printf("resuming suspended negotiations: %v", err)
 		} else if n > 0 {
 			log.Printf("resumed %d suspended negotiation(s)", n)
+		}
+		// Checkpoint once per start: the snapshot supersedes every sealed
+		// segment (the previous runs' party rewrites and the session docs
+		// ResumeSessions just deleted), so reopen time stays flat across
+		// restarts. A failed checkpoint leaves the store usable.
+		if err := db.Compact(); err != nil {
+			log.Printf("store checkpoint: %v", err)
 		}
 	}
 	mux := http.NewServeMux()

@@ -211,6 +211,11 @@ func cmdServe(args []string) error {
 		if err := db.Sync(); err != nil {
 			return err
 		}
+		// Checkpoint once per start (see cmd/tnserve); a failed
+		// checkpoint leaves the store usable.
+		if err := db.Compact(); err != nil {
+			log.Printf("store checkpoint: %v", err)
+		}
 		tk.TN.DB = db
 		log.Printf("policies and credentials stored in %s", *dbPath)
 	}

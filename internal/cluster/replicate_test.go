@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"trustvo/internal/store"
-	"trustvo/internal/store/cacher"
 	"trustvo/internal/xmldom"
 )
 
@@ -227,53 +226,46 @@ func TestDuplicateFramesIdempotent(t *testing.T) {
 	}
 }
 
-// TestFollowerApplyInvalidatesCache: replicated applies on a follower go
-// through the store's normal write path, so a cacher.Cache layered over
-// the follower's DB must see its entries invalidated by remote commits —
-// a follower serving cached reads never serves a record from before an
-// applied batch.
-func TestFollowerApplyInvalidatesCache(t *testing.T) {
+// TestFollowerApplyBumpsKindGeneration: replicated applies on a follower
+// go through the store's normal write path, so they bump the follower's
+// per-kind generation — the key TNService's party memo revalidates on. A
+// follower that memoizes a view of some kinds therefore never serves one
+// from before an applied batch.
+func TestFollowerApplyBumpsKindGeneration(t *testing.T) {
 	c := newTestCluster(t, true, 0) // sync: leader acks imply follower apply
 	defer c.shutdown()
 	c.addNode("n1")
 	c.addNode("n2")
 	c.setLeader("n1")
 
-	followerCache := cacher.New(c.get("n2").db, time.Hour) // TTL out of the picture
+	followerDB := c.get("n2").db
 	leaderDB := c.get("n1").db
 
 	if err := leaderDB.PutXML("chaos", "hot", chaosDoc(1)); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := followerCache.Get("chaos", "hot")
+	rec, err := followerDB.Get("chaos", "hot")
 	if err != nil {
-		t.Fatalf("follower cached read: %v", err)
+		t.Fatalf("follower read: %v", err)
 	}
 	if rec.XML != chaosDoc(1) {
-		t.Fatalf("follower cache = %q", rec.XML)
+		t.Fatalf("follower record = %q", rec.XML)
 	}
-	// Warm hit before the next replicated write.
-	if _, err := followerCache.Get("chaos", "hot"); err != nil {
-		t.Fatal(err)
-	}
-	st := followerCache.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("warm-up stats = %+v", st)
-	}
+	gen := followerDB.KindGeneration("chaos")
 
 	// Leader overwrite: the sync ack means the follower applied it, and the
-	// apply must have dropped the follower's cached entry.
+	// apply must have moved the follower's generation for that kind.
 	if err := leaderDB.PutXML("chaos", "hot", chaosDoc(2)); err != nil {
 		t.Fatal(err)
 	}
-	if got := followerCache.Stats().Invalidations; got == 0 {
-		t.Fatal("replicated apply did not invalidate the follower cache")
+	if got := followerDB.KindGeneration("chaos"); got == gen {
+		t.Fatalf("replicated apply left the follower's kind generation at %d", got)
 	}
-	rec, err = followerCache.Get("chaos", "hot")
+	rec, err = followerDB.Get("chaos", "hot")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.XML != chaosDoc(2) {
-		t.Fatalf("follower cache served stale record after replicated apply: %q", rec.XML)
+		t.Fatalf("follower served stale record after replicated apply: %q", rec.XML)
 	}
 }

@@ -30,10 +30,6 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	// Remove deletes name.
 	Remove(name string) error
-	// MkdirAll creates the directory name with any missing parents (the
-	// directory-per-kind store backend lays records out under one
-	// directory per document kind).
-	MkdirAll(name string) error
 	// SyncDir fsyncs the directory containing path, making a just-created
 	// or just-renamed directory entry durable.
 	SyncDir(path string) error
@@ -65,9 +61,6 @@ func (OSFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, ne
 // Remove implements FS.
 func (OSFS) Remove(name string) error { return os.Remove(name) }
 
-// MkdirAll implements FS.
-func (OSFS) MkdirAll(name string) error { return os.MkdirAll(name, 0o755) }
-
 // SyncDir implements FS. Some platforms refuse fsync on directories;
 // those report a PathError we treat as "the platform gives no stronger
 // guarantee" rather than a storage failure.
@@ -92,7 +85,7 @@ type Op struct {
 	// N is the 1-based global operation index.
 	N int
 	// Kind is one of "create", "write", "sync", "close", "rename",
-	// "remove", "mkdir", "syncdir".
+	// "remove", "syncdir".
 	Kind string
 	// Path is the primary path the operation touches.
 	Path string
@@ -211,16 +204,6 @@ func (c *CrashFS) Remove(name string) error {
 	delete(c.files, name)
 	c.mu.Unlock()
 	return nil
-}
-
-// MkdirAll implements FS. Directory creation is treated as durable once
-// executed (the same simplification Rename documents); crash-before-mkdir
-// is its own crash point.
-func (c *CrashFS) MkdirAll(name string) error {
-	if err := c.gate("mkdir", name); err != nil {
-		return err
-	}
-	return os.MkdirAll(name, 0o755)
 }
 
 // SyncDir implements FS.

@@ -44,18 +44,6 @@ const (
 
 func credKey(owner, id string) string { return owner + "/" + id }
 
-// Reader is the read surface the Load functions need. Both *store.Store
-// and *cacher.Cache satisfy it, so a TN server can route its hot party
-// reloads through the coalescing cache while the write path (and
-// LoadResumeTickets, which deletes expired tickets as it reads) keeps
-// talking to the store directly. Records obtained through a Reader are
-// treated as read-only, which is exactly the contract the cache's shared
-// records demand.
-type Reader interface {
-	Get(kind, key string) (*store.Record, error)
-	List(kind string) []*store.Record
-}
-
 // SaveProfile writes every credential of the profile.
 func SaveProfile(db *store.Store, p *xtnl.Profile) error {
 	for _, c := range p.All() {
@@ -70,7 +58,7 @@ func SaveProfile(db *store.Store, p *xtnl.Profile) error {
 }
 
 // LoadProfile reads the owner's credentials back into an X-Profile.
-func LoadProfile(db Reader, owner string) (*xtnl.Profile, error) {
+func LoadProfile(db *store.Store, owner string) (*xtnl.Profile, error) {
 	p := xtnl.NewProfile(owner)
 	prefix := owner + "/"
 	for _, rec := range db.List(KindCredential) {
@@ -106,7 +94,7 @@ func SavePolicies(db *store.Store, owner string, ps *xtnl.PolicySet) error {
 }
 
 // LoadPolicies reads the owner's disclosure policies.
-func LoadPolicies(db Reader, owner string) (*xtnl.PolicySet, error) {
+func LoadPolicies(db *store.Store, owner string) (*xtnl.PolicySet, error) {
 	ps, _ := xtnl.NewPolicySet()
 	prefix := owner + "/"
 	for _, rec := range db.List(KindPolicy) {
@@ -135,7 +123,7 @@ func SaveOntology(db *store.Store, owner string, o *ontology.Ontology) error {
 
 // LoadOntology reads the owner's local ontology; it returns (nil, nil)
 // when none is stored.
-func LoadOntology(db Reader, owner string) (*ontology.Ontology, error) {
+func LoadOntology(db *store.Store, owner string) (*ontology.Ontology, error) {
 	rec, err := db.Get(KindOntology, owner)
 	if err != nil {
 		return nil, nil // not stored
@@ -163,7 +151,7 @@ func SaveParty(db *store.Store, p *negotiation.Party) error {
 // so the caller passes a template carrying them; the returned party has
 // the template's identity fields with the stored profile, policies and
 // ontology.
-func LoadParty(db Reader, template *negotiation.Party) (*negotiation.Party, error) {
+func LoadParty(db *store.Store, template *negotiation.Party) (*negotiation.Party, error) {
 	p := *template
 	var err error
 	if p.Profile, err = LoadProfile(db, template.Name); err != nil {
@@ -228,7 +216,7 @@ func DeleteResumeTicket(db *store.Store, owner, negID string) error {
 // equals the requested credential type — the PolicyExchange lookup of
 // §6.2 ("checks if the database contains disclosure policies protecting
 // the credentials requested in the counterpart's disclosure policies").
-func PoliciesProtecting(db Reader, owner, resource string) ([]*xtnl.Policy, error) {
+func PoliciesProtecting(db *store.Store, owner, resource string) ([]*xtnl.Policy, error) {
 	ps, err := LoadPolicies(db, owner)
 	if err != nil {
 		return nil, err

@@ -106,7 +106,7 @@ func (vc *verifyCache) invalidate() {
 // is still valid at now (validity windows and revocation are re-checked
 // on every hit; only the signature work is skipped).
 func (ts *TrustStore) cachedVerify(c *xtnl.Credential, now time.Time) ([]*xtnl.Credential, bool) {
-	if ts.DisableCache || len(c.Signature) == 0 {
+	if len(c.Signature) == 0 {
 		return nil, false
 	}
 	e, ok := ts.cache.lookup(cacheKey(c))
@@ -153,7 +153,7 @@ func sameContent(c, cached *xtnl.Credential) bool {
 
 // rememberVerify memoizes a successful verification.
 func (ts *TrustStore) rememberVerify(c *xtnl.Credential, chain []*xtnl.Credential) {
-	if ts.DisableCache || len(c.Signature) == 0 {
+	if len(c.Signature) == 0 {
 		return
 	}
 	e := &verifyCacheEntry{cred: c.Clone()}

@@ -141,22 +141,6 @@ func TestVerifyChainCachedWithChain(t *testing.T) {
 	}
 }
 
-func TestVerifyCacheDisabled(t *testing.T) {
-	ca := MustNewAuthority("CA")
-	ts := NewTrustStore(ca)
-	ts.DisableCache = true
-	cred := issueTestCred(t, ca, "Badge")
-	now := time.Now()
-	for i := 0; i < 3; i++ {
-		if err := ts.Verify(cred, now); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := ts.CacheStats(); st.Hits != 0 || st.Entries != 0 {
-		t.Fatalf("disabled cache recorded activity: %+v", st)
-	}
-}
-
 func TestVerifyCacheConcurrent(t *testing.T) {
 	ca := MustNewAuthority("CA")
 	ts := NewTrustStore(ca)

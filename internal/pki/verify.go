@@ -27,11 +27,6 @@ type TrustStore struct {
 	// MaxChainDepth bounds delegation-chain resolution; 0 means the
 	// default of 4 hops.
 	MaxChainDepth int
-
-	// DisableCache turns the verification cache off (every call does
-	// the full signature work). For A/B benchmarks and paranoid
-	// deployments; see cmd/benchjoin -baseline.
-	DisableCache bool
 }
 
 // NewTrustStore builds a store trusting the given authorities as roots.

@@ -132,7 +132,7 @@ func mustGetXML(t *testing.T, s *Store, kind, key string) string {
 // checkpoint mutex. Run under -race with writers and a checkpoint in
 // flight while Destroy fires.
 func TestDestroyCloseRace(t *testing.T) {
-	for _, backend := range []string{BackendFSWAL, BackendDirKind} {
+	for _, backend := range durableBackends {
 		backend := backend
 		t.Run("backend="+backend, func(t *testing.T) {
 			for iter := 0; iter < 20; iter++ {

@@ -5,11 +5,10 @@ import "fmt"
 // Backend is the persistence engine beneath a Store. The Store owns the
 // in-memory view (typed indexes, XPath queries, generation counters) and
 // the group-commit choreography; a Backend owns bytes on (or off) disk.
-// Extracting this seam is what lets the same negotiation-facing store run
-// over the segmented filesystem WAL, a pure in-memory image (tests,
-// benches, cluster followers) or a directory-per-kind record layout — and
-// later over cloud object stores — without touching the committer or any
-// caller.
+// The seam lets the same negotiation-facing store run over the segmented
+// filesystem WAL or a pure in-memory image (tests, benches, cluster
+// followers, and the fake the torture suite substitutes) without touching
+// the committer or any caller.
 //
 // Concurrency contract: Recover is called once, before the committer
 // starts. Append, Sync, Rotate and Close are called only from the
@@ -45,26 +44,17 @@ type Backend interface {
 	Destroy() error
 }
 
-// Backend kind names, accepted in Options.Backend and on the tnserve /
-// benchjoin command lines.
+// Backend kind names, accepted in Options.Backend.
 const (
 	// BackendFSWAL is the default: the crash-safe segmented write-ahead
 	// log with checkpoint snapshots (PR 5).
 	BackendFSWAL = "fswal"
 	// BackendMemory keeps nothing on disk. Writes still flow through the
-	// group-commit path (batching, OnCommit gating, observers), which is
+	// group-commit path (batching, OnCommit gating), which is
 	// what cluster followers and benches want; durability is explicitly
 	// none.
 	BackendMemory = "memory"
-	// BackendDirKind stores one CRC-framed record file per document under
-	// one directory per kind, published atomically (write tmp, fsync,
-	// rename, dirsync). No log, no checkpoints: the layout is always
-	// compact, and a record costs one fsync to persist.
-	BackendDirKind = "dirkind"
 )
-
-// BackendKinds lists the selectable backend names.
-func BackendKinds() []string { return []string{BackendFSWAL, BackendMemory, BackendDirKind} }
 
 // newBackend constructs the backend opts selects for a store at path.
 func (s *Store) newBackend(path string) (Backend, error) {
@@ -73,10 +63,8 @@ func (s *Store) newBackend(path string) (Backend, error) {
 		return &fswalBackend{path: path, opts: s.opts, fs: s.fs, met: s.met}, nil
 	case BackendMemory:
 		return memBackend{}, nil
-	case BackendDirKind:
-		return newDirBackend(path, s.opts, s.fs, s.met)
 	default:
-		return nil, fmt.Errorf("store: unknown backend %q (have %v)", s.opts.Backend, BackendKinds())
+		return nil, fmt.Errorf("store: unknown backend %q (have %s, %s)", s.opts.Backend, BackendFSWAL, BackendMemory)
 	}
 }
 

@@ -242,8 +242,7 @@ func (s *Store) flushGroup(group []commitReq) {
 	// The replication gate: the batch is durable and applied locally;
 	// OnCommit decides whether the writers may treat it as acknowledged.
 	// A hook failure is NOT poison — the local log is intact — but every
-	// writer in the batch sees the error instead of a nil ack. Observers
-	// (cache invalidation) fire regardless: the local view did change.
+	// writer in the batch sees the error instead of a nil ack.
 	entries := make([]Entry, len(accepted))
 	for i, r := range accepted {
 		entries[i] = exportEntry(r.entry)
@@ -254,15 +253,13 @@ func (s *Store) flushGroup(group []commitReq) {
 	}
 }
 
-// commitHook invokes the OnCommit gate and then the non-gating observers
-// for one committed batch (both write paths end here).
+// commitHook invokes the OnCommit gate for one committed batch (both
+// write paths end here).
 func (s *Store) commitHook(entries []Entry) error {
-	var err error
 	if hook := s.opts.OnCommit; hook != nil {
-		err = hook(entries)
+		return hook(entries)
 	}
-	s.notifyObservers(entries)
-	return err
+	return nil
 }
 
 // rotateForCheckpoint asks the backend to begin a checkpoint and captures

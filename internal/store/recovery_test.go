@@ -233,101 +233,3 @@ func TestLegacyV1TornTail(t *testing.T) {
 	}
 	checkRecovered(t, base, 2, "legacy torn tail")
 }
-
-// TestDirKindDamagedRecords is the directory-per-kind analogue of the
-// torn-tail sweeps: every byte-level truncation and every byte flip of a
-// record file must leave the store openable, with the damaged record
-// dropped (it can only be the unacknowledged in-flight write or
-// OS-durability write-back loss) and every other record intact.
-func TestDirKindDamagedRecords(t *testing.T) {
-	write := func(t *testing.T, base string, n int) {
-		t.Helper()
-		s, err := OpenWithOptions(base, Options{Backend: BackendDirKind, Durability: DurabilityGroup})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if err := s.PutXML("doc", fmt.Sprintf("k%d", i), fmt.Sprintf(`<d n="%d"/>`, i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recPathFor := func(base, key string) string {
-		return filepath.Join(base+dirRootSuffix, "doc", key+recSuffix)
-	}
-	checkSurvivors := func(t *testing.T, base string, n, dropped int, context string) {
-		t.Helper()
-		s, err := OpenWithOptions(base, Options{Backend: BackendDirKind})
-		if err != nil {
-			t.Fatalf("%s: open must never fail on a damaged record: %v", context, err)
-		}
-		defer s.Close()
-		if got := s.Count("doc"); got != n-1 {
-			t.Fatalf("%s: recovered %d records, want %d", context, got, n-1)
-		}
-		for i := 0; i < n; i++ {
-			rec, err := s.Get("doc", fmt.Sprintf("k%d", i))
-			if i == dropped {
-				if err == nil {
-					t.Fatalf("%s: damaged record k%d survived with %q", context, i, rec.XML)
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("%s: undamaged record k%d lost: %v", context, i, err)
-			}
-			if want := fmt.Sprintf(`<d n="%d"/>`, i); rec.XML != want {
-				t.Fatalf("%s: k%d corrupted: %q", context, i, rec.XML)
-			}
-		}
-	}
-
-	const n, victim = 4, 2
-	probe := filepath.Join(t.TempDir(), "probe.wal")
-	write(t, probe, n)
-	pristine, err := os.ReadFile(recPathFor(probe, fmt.Sprintf("k%d", victim)))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for cut := 0; cut < len(pristine); cut++ {
-		base := filepath.Join(t.TempDir(), "t.wal")
-		write(t, base, n)
-		if err := os.WriteFile(recPathFor(base, fmt.Sprintf("k%d", victim)), pristine[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		checkSurvivors(t, base, n, victim, fmt.Sprintf("truncate@%d", cut))
-	}
-	for flip := 0; flip < len(pristine); flip++ {
-		base := filepath.Join(t.TempDir(), "t.wal")
-		write(t, base, n)
-		img := append([]byte(nil), pristine...)
-		img[flip] ^= 0xFF
-		if err := os.WriteFile(recPathFor(base, fmt.Sprintf("k%d", victim)), img, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		checkSurvivors(t, base, n, victim, fmt.Sprintf("flip@%d", flip))
-	}
-
-	// A stray .rec.tmp (in-flight publish at crash time) is swept on open.
-	base := filepath.Join(t.TempDir(), "t.wal")
-	write(t, base, n)
-	tmp := filepath.Join(base+dirRootSuffix, "doc", "k9"+recTmpSuffix)
-	if err := os.WriteFile(tmp, pristine, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenWithOptions(base, Options{Backend: BackendDirKind})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got := s.Count("doc"); got != n {
-		t.Fatalf("stray tmp changed recovered count: %d, want %d", got, n)
-	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatalf("stray tmp not swept on open: %v", err)
-	}
-}

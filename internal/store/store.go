@@ -23,12 +23,11 @@
 //     (snapshot.go); recovery = newest valid snapshot + replay of later
 //     segments, with a torn tail (partial last write after a crash)
 //     detected, truncated and never costing an acknowledged write. The
-//     alternative backends are a directory-per-kind record layout
-//     (backend_dir.go) and a pure in-memory image (tests, benches,
-//     cluster followers). Every durable backend routes its mutation
-//     surface through internal/faultinject's FS hook layer so a
-//     crash-point torture harness can kill the engine at every file
-//     operation and verify those guarantees.
+//     other backend is a pure in-memory image (tests, benches, cluster
+//     followers). The WAL routes its mutation surface through
+//     internal/faultinject's FS hook layer so a crash-point torture
+//     harness can kill the engine at every file operation and verify
+//     those guarantees.
 package store
 
 import (
@@ -83,9 +82,9 @@ func (r *Record) TypeAttr() string {
 // authoritative (strings are immutable), while the DOM cache is NOT
 // shared — a caller that parses and then mutates its copy's tree cannot
 // corrupt the type index or the next snapshot, which is exactly what
-// happened when Get returned the live record (the aliasing bug this PR
-// fixes). The copy's Doc() re-parses on first use; hot readers should sit
-// behind store/cacher, which amortizes that.
+// happened when Get returned the live record (the aliasing bug). The
+// copy's Doc() re-parses on first use; hot readers memoize what they
+// derive and revalidate it with KindGeneration.
 func (r *Record) view() *Record {
 	return &Record{Kind: r.Kind, Key: r.Key, XML: r.XML}
 }
@@ -110,7 +109,7 @@ const (
 // Options tunes a WAL-backed store opened with OpenWithOptions.
 type Options struct {
 	// Backend selects the persistence engine: BackendFSWAL (the default,
-	// also chosen by ""), BackendDirKind or BackendMemory. See backend.go.
+	// also chosen by "") or BackendMemory. See backend.go.
 	Backend string
 	// Durability is the fsync policy (default DurabilityOS).
 	Durability Durability
@@ -188,11 +187,6 @@ type Store struct {
 	// an in-flight snapshot write.
 	ckptMu sync.Mutex
 
-	// observers are non-gating commit listeners (see Observe); obsMu
-	// guards registration.
-	obsMu     sync.RWMutex
-	observers []func(entries []Entry)
-
 	// replayedFrames is how many snapshot records plus WAL frames Open
 	// replayed, credited to the replay counter when instrumented.
 	replayedFrames int
@@ -226,30 +220,6 @@ func (s *Store) KindGeneration(kinds ...string) uint64 {
 		sum += s.kindGens[k]
 	}
 	return sum
-}
-
-// Observe registers a commit listener: fn receives every committed
-// mutation batch in log order, after the batch is durable (per the
-// policy) and applied to the in-memory view. Unlike Options.OnCommit it
-// cannot withhold acknowledgement — it is the invalidation feed for
-// read-through caches, and it fires for every write path including
-// cluster replication applies (which go through Put/Delete). fn runs on
-// the committer goroutine outside the store locks and must not block;
-// replay during Open is not observed. Listeners cannot be removed.
-func (s *Store) Observe(fn func(entries []Entry)) {
-	s.obsMu.Lock()
-	defer s.obsMu.Unlock()
-	s.observers = append(s.observers, fn)
-}
-
-// notifyObservers fans a committed batch out to every listener.
-func (s *Store) notifyObservers(entries []Entry) {
-	s.obsMu.RLock() //lint:allow nakedlock snapshot only; listeners run unlocked below
-	obs := s.observers
-	s.obsMu.RUnlock()
-	for _, fn := range obs {
-		fn(entries)
-	}
 }
 
 // ErrNotFound is returned by Get and Delete for missing records.
@@ -562,7 +532,7 @@ func (s *Store) QueryString(kind, expr string) ([]*Record, error) {
 // committer captures the live record set and a checkpoint token, then the
 // backend persists the snapshot and garbage-collects what it supersedes —
 // all while concurrent Puts keep committing into the post-rotation log.
-// Backends with nothing to truncate (memory, dirkind) make this a cheap
+// The memory backend has nothing to truncate and makes this a cheap
 // sweep. No-op for in-memory stores built with New.
 func (s *Store) Compact() error {
 	if !s.hasCommitter {

@@ -144,30 +144,12 @@ func storeState(s *Store, kinds ...string) tortureState {
 
 const tortureSegmentSize = 192 // tiny: forces rotation every few frames
 
-// backendCase describes one durable backend's torture-matrix traits.
-type backendCase struct {
-	backend string
-	// strictKeepTail0: with the adversarial crash image (keepTail=0) the
-	// recovered state must equal EXACTLY the acknowledged prefix. True for
-	// fswal, whose in-flight frame lives un-fsynced in the page cache and
-	// always vanishes. False for dirkind, which publishes via rename — the
-	// CrashFS models rename as durable once executed, so a crash between
-	// the rename and the directory fsync may legally surface the in-flight
-	// (unacknowledged) record whole; both adjacent prefixes are legal.
-	strictKeepTail0 bool
-}
-
-// durableBackendMatrix lists the backends that participate in the
-// crash-image sweeps. BackendMemory is deliberately absent: it keeps no
-// bytes on disk, so the durability-only assertions do not apply to it —
-// its leg of the matrix (TestCrashTortureSweep/memory) instead checks
-// that the same schedule runs cleanly and that a reopen starts empty.
-func durableBackendMatrix() []backendCase {
-	return []backendCase{
-		{backend: BackendFSWAL, strictKeepTail0: true},
-		{backend: BackendDirKind, strictKeepTail0: false},
-	}
-}
+// durableBackends lists the backends that participate in the crash-image
+// sweeps. BackendMemory is deliberately absent: it keeps no bytes on
+// disk, so the durability-only assertions do not apply to it — its leg of
+// the matrix (TestCrashTortureSweep/memory) instead checks that the same
+// schedule runs cleanly and that a reopen starts empty.
+var durableBackends = []string{BackendFSWAL}
 
 // countCleanOps runs the schedule with no crash point and returns the
 // total file-operation count — the crash-point space to sweep.
@@ -191,7 +173,7 @@ func countCleanOps(t *testing.T, backend string, d Durability) int {
 
 // runCrashCase kills the engine at file operation crashAt, reopens from
 // the keepTail crash image and checks the durability invariants.
-func runCrashCase(t *testing.T, bc backendCase, d Durability, crashAt int, keepTail float64) {
+func runCrashCase(t *testing.T, backend string, d Durability, crashAt int, keepTail float64) {
 	t.Helper()
 	steps := tortureSchedule()
 	prefixes := prefixStates(steps)
@@ -200,7 +182,7 @@ func runCrashCase(t *testing.T, bc backendCase, d Durability, crashAt int, keepT
 	cfs.CrashAt = crashAt
 
 	acked, attempted := 0, 0
-	s, err := OpenWithOptions(base, Options{Backend: bc.backend, Durability: d, SegmentSize: tortureSegmentSize, FS: cfs})
+	s, err := OpenWithOptions(base, Options{Backend: backend, Durability: d, SegmentSize: tortureSegmentSize, FS: cfs})
 	if err == nil {
 		acked, attempted = runSteps(s, steps)
 		s.Close() // the crash may fire here too; descriptors are released regardless
@@ -211,7 +193,7 @@ func runCrashCase(t *testing.T, bc backendCase, d Durability, crashAt int, keepT
 		t.Fatal(err)
 	}
 
-	re, err := OpenWithOptions(base, Options{Backend: bc.backend})
+	re, err := OpenWithOptions(base, Options{Backend: backend})
 	if err != nil {
 		t.Fatalf("crashAt=%d keepTail=%v: reopen after crash: %v", crashAt, keepTail, err)
 	}
@@ -219,17 +201,17 @@ func runCrashCase(t *testing.T, bc backendCase, d Durability, crashAt int, keepT
 	got := storeState(re, "cred", "pol")
 
 	want := prefixes[acked]
-	if keepTail == 0 && bc.strictKeepTail0 {
+	if keepTail == 0 {
 		// Adversarial image: exactly the acknowledged state — acked writes
-		// survived, the in-flight one (never fsynced) vanished.
+		// survived, the in-flight one (never fsynced, so only in the page
+		// cache) vanished.
 		if !statesEqual(got, want) {
 			t.Fatalf("crashAt=%d keepTail=0 (backend=%s durability=%d): state diverged\n got: %v\nwant: %v",
-				crashAt, bc.backend, d, got, want)
+				crashAt, backend, d, got, want)
 		}
 		return
 	}
-	// Lucky write-back (or a rename-publishing backend): the in-flight
-	// (unacknowledged) operation may also have reached disk whole, or its
+	// Lucky write-back: the in-flight (unacknowledged) operation may also have reached disk whole, or its
 	// frame may be torn and discarded. Both adjacent prefix states are
 	// legal; anything else is corruption.
 	if statesEqual(got, want) {
@@ -239,16 +221,16 @@ func runCrashCase(t *testing.T, bc backendCase, d Durability, crashAt int, keepT
 		return
 	}
 	t.Fatalf("crashAt=%d keepTail=%v (backend=%s durability=%d): state matches no legal prefix\n   got: %v\n acked: %v",
-		crashAt, keepTail, bc.backend, d, got, want)
+		crashAt, keepTail, backend, d, got, want)
 }
 
 func TestCrashTortureSweep(t *testing.T) {
-	for _, bc := range durableBackendMatrix() {
-		bc := bc
+	for _, backend := range durableBackends {
+		backend := backend
 		for _, d := range []Durability{DurabilityGroup, DurabilityEveryOp} {
 			d := d
-			t.Run(fmt.Sprintf("backend=%s/durability=%d", bc.backend, d), func(t *testing.T) {
-				ops := countCleanOps(t, bc.backend, d)
+			t.Run(fmt.Sprintf("backend=%s/durability=%d", backend, d), func(t *testing.T) {
+				ops := countCleanOps(t, backend, d)
 				if ops < 40 {
 					t.Fatalf("schedule too small to be interesting: %d file ops", ops)
 				}
@@ -257,11 +239,11 @@ func TestCrashTortureSweep(t *testing.T) {
 					stride = 5
 				}
 				for crashAt := 1; crashAt <= ops; crashAt += stride {
-					runCrashCase(t, bc, d, crashAt, 0)
-					runCrashCase(t, bc, d, crashAt, 1)
+					runCrashCase(t, backend, d, crashAt, 0)
+					runCrashCase(t, backend, d, crashAt, 1)
 					if crashAt%5 == 0 {
 						// Partial write-back: tears the in-flight frame.
-						runCrashCase(t, bc, d, crashAt, 0.5)
+						runCrashCase(t, backend, d, crashAt, 0.5)
 					}
 				}
 			})
@@ -309,9 +291,9 @@ func TestCrashTortureSweep(t *testing.T) {
 // exact document, and every recovered key is one the workload actually
 // wrote.
 func TestCrashTortureConcurrent(t *testing.T) {
-	for _, bc := range durableBackendMatrix() {
-		bc := bc
-		t.Run("backend="+bc.backend, func(t *testing.T) { runConcurrentTorture(t, bc.backend) })
+	for _, backend := range durableBackends {
+		backend := backend
+		t.Run("backend="+backend, func(t *testing.T) { runConcurrentTorture(t, backend) })
 	}
 }
 

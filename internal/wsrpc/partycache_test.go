@@ -8,7 +8,6 @@ import (
 	"trustvo/internal/partydb"
 	"trustvo/internal/pki"
 	"trustvo/internal/store"
-	"trustvo/internal/store/cacher"
 	"trustvo/internal/xtnl"
 )
 
@@ -98,57 +97,5 @@ func TestPartyReloadScopedInvalidation(t *testing.T) {
 	}
 	if got := reloads(svc); got != 2 {
 		t.Errorf("reloads after credential write = %d, want 2", got)
-	}
-}
-
-// TestPartyReloadThroughCache routes the reload through a cacher.Cache
-// and checks both that it works and that its invalidation is scoped the
-// same way.
-func TestPartyReloadThroughCache(t *testing.T) {
-	svc, db := partyCacheFixture(t)
-	c := cacher.New(db, time.Minute)
-	svc.PartyReader = c
-
-	p1, err := svc.loadPartyCached()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1.Profile.Len() == 0 {
-		t.Fatal("cache-routed reload returned an empty profile")
-	}
-	if st := c.Stats(); st.Misses == 0 {
-		t.Fatalf("reload did not go through the cache: %+v", st)
-	}
-
-	// Unrelated write: neither the memo nor the party-kind cache slots
-	// turn over.
-	if err := db.PutXML(KindTNSession, "s1", `<tnSession id="s1"/>`); err != nil {
-		t.Fatal(err)
-	}
-	p2, err := svc.loadPartyCached()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2 != p1 {
-		t.Error("session write invalidated the cache-routed memo")
-	}
-
-	// Party-kind write: memo turns over and the fresh load sees the new
-	// record through the cache (the commit observer invalidated it).
-	ca := pki.MustNewAuthority("OtherCA")
-	cred := ca.MustIssue(pki.IssueRequest{Type: "AAAMember", Holder: "AircraftCo"})
-	if err := db.Put("credential", "AircraftCo/"+cred.ID, cred.DOM()); err != nil {
-		t.Fatal(err)
-	}
-	p3, err := svc.loadPartyCached()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3 == p2 {
-		t.Fatal("credential write did not invalidate the cache-routed memo")
-	}
-	if p3.Profile.Len() != p2.Profile.Len()+1 {
-		t.Errorf("reloaded profile has %d credentials, want %d (stale cache?)",
-			p3.Profile.Len(), p2.Profile.Len()+1)
 	}
 }

@@ -49,11 +49,6 @@ type TNService struct {
 	// the invoker" (§6.2). Party then only supplies identity, trust
 	// anchors, keys and hooks.
 	DB *store.Store
-	// PartyReader, when set, is the read path used for the party reload —
-	// typically a *cacher.Cache over DB, so N concurrent StartNegotiation
-	// calls coalesce onto one store fetch per kind. When nil, reads go to
-	// DB directly. Writes (resume tickets, session docs) always go to DB.
-	PartyReader partydb.Reader
 	// MaxSessionAge bounds idle session lifetime (default 5 minutes).
 	MaxSessionAge time.Duration
 	// MaxSessions bounds concurrently ACTIVE negotiations (default
@@ -74,13 +69,6 @@ type TNService struct {
 	// Debugf, when set, receives one key=value line per negotiation
 	// message handled (session id, operation, message type, duration).
 	Debugf func(format string, args ...any)
-	// Shards is the number of lock stripes the session table is split
-	// into (default 16). Every session id is hashed to one stripe, so
-	// concurrent joins on different stripes never contend on a lock.
-	// Set 1 to recover the single-mutex behaviour (the benchjoin
-	// -baseline configuration). Must be set before the service handles
-	// its first request.
-	Shards int
 	// NewSessionID, when set, mints session ids in place of the default
 	// 12 random bytes. internal/cluster installs a minter that draws ids
 	// the local node owns on the hash ring, so a session's messages land
@@ -122,20 +110,18 @@ type sessionShard struct {
 	m  map[string]*tnSession
 }
 
-// DefaultSessionShards is the stripe count used when Shards is unset,
-// sized for tens of concurrent joiners: with 16 stripes the probability
-// of two of k simultaneous requests colliding on a stripe stays low
-// while the per-stripe sweep cost stays trivial.
+// DefaultSessionShards is the number of lock stripes the session table
+// is split into. Every session id is hashed to one stripe, so concurrent
+// joins on different stripes never contend on a lock. 16 is sized for
+// tens of concurrent joiners: the probability of two of k simultaneous
+// requests colliding on a stripe stays low while the per-stripe sweep
+// cost stays trivial.
 const DefaultSessionShards = 16
 
-// shardTable lazily builds the stripe array, honouring Shards.
+// shardTable lazily builds the stripe array.
 func (s *TNService) shardTable() []*sessionShard {
 	s.shardOnce.Do(func() {
-		n := s.Shards
-		if n <= 0 {
-			n = DefaultSessionShards
-		}
-		s.shards = make([]*sessionShard, n)
+		s.shards = make([]*sessionShard, DefaultSessionShards)
 		for i := range s.shards {
 			s.shards[i] = &sessionShard{m: make(map[string]*tnSession)}
 		}
@@ -146,9 +132,6 @@ func (s *TNService) shardTable() []*sessionShard {
 // shard maps a session id to its stripe (FNV-1a over the id).
 func (s *TNService) shard(id string) *sessionShard {
 	shards := s.shardTable()
-	if len(shards) == 1 {
-		return shards[0]
-	}
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -443,11 +426,7 @@ func (s *TNService) loadPartyCached() (*negotiation.Party, error) {
 	if s.partyCache != nil && s.partyGen == gen {
 		return s.partyCache, nil
 	}
-	var reader partydb.Reader = s.DB
-	if s.PartyReader != nil {
-		reader = s.PartyReader
-	}
-	loaded, err := partydb.LoadParty(reader, s.Party)
+	loaded, err := partydb.LoadParty(s.DB, s.Party)
 	if err != nil {
 		return nil, err
 	}
