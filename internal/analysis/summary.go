@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"math"
 	"sort"
 	"strings"
 )
@@ -731,7 +732,9 @@ func (b *sumBuilder) checkForeverLoop(s *ast.ForStmt) {
 
 // propagateSanitizers folds callee verify/expiry sites upward: a call
 // to a function that verifies (or checks expiry) counts as doing so at
-// the call site. Runs to fixpoint so helper chains compose.
+// the call site. A callee that verifies before it checks expiry passes
+// that order on (its expiry lands one position after the call), and is
+// no sanitizer. Runs to fixpoint so helper chains compose.
 func (m *Module) propagateSanitizers() {
 	for i := 0; i < 10; i++ {
 		changed := false
@@ -759,7 +762,11 @@ func (m *Module) propagateSanitizers() {
 						continue
 					}
 					if len(ts.expiries) > 0 {
-						expiries = append(expiries, op.Pos)
+						pos := op.Pos
+						if verifiesFirst(ts.verifies, ts.expiries) {
+							pos++
+						}
+						expiries = append(expiries, pos)
 						break
 					}
 				}
@@ -768,12 +775,19 @@ func (m *Module) propagateSanitizers() {
 				changed = true
 			}
 			sum.verifies, sum.expiries = verifies, expiries
-			sum.Sanitizes = len(verifies) > 0 && len(expiries) > 0
+			sum.Sanitizes = len(verifies) > 0 && len(expiries) > 0 && !verifiesFirst(verifies, expiries)
 		}
 		if !changed {
 			return
 		}
 	}
+}
+
+// verifiesFirst reports a signature verification sited before every
+// expiry check: the order credtaint rejects.
+func verifiesFirst(verifies, expiries []token.Pos) bool {
+	const end = token.Pos(math.MaxInt)
+	return len(verifies) > 0 && len(expiries) > 0 && firstBefore(verifies, end) < firstBefore(expiries, end)
 }
 
 // propagateTaint computes ReturnsTainted module-wide: a function
@@ -950,6 +964,16 @@ func (ti *taintInfo) callTainted(call *ast.CallExpr) bool {
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if ti.tainted(sel.X) {
 			return true
+		}
+	}
+	// A module function handed a tainted argument may return a piece of
+	// it (unwrap(root) → root.Child(...)) unless it sanitizes, checked
+	// above.
+	if len(targets) > 0 {
+		for _, arg := range call.Args {
+			if ti.tainted(arg) {
+				return true
+			}
 		}
 	}
 	return false

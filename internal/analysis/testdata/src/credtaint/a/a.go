@@ -91,6 +91,75 @@ func adoptRelayed(s svc, raw string) {
 	s.AdoptSessionDoc(relay(raw)) // want "reaches AdoptSessionDoc without signature verification"
 }
 
+// unwrap hands back a piece of its argument unchecked; taint flows
+// through the argument.
+func unwrap(root *xmldom.Node) *xmldom.Node {
+	return root.Child("tnSession")
+}
+
+func adoptUnwrapped(s svc, raw string) {
+	root, _ := xmldom.ParseString(raw)
+	s.AdoptSessionDoc(unwrap(root)) // want "reaches AdoptSessionDoc without signature verification"
+}
+
+// checkRoot is a sanitizer over an already-decoded envelope.
+func checkRoot(k pki.KeyPair, root *xmldom.Node, exp time.Time) (*xmldom.Node, error) {
+	if time.Now().After(exp) {
+		return nil, errRejected
+	}
+	if !k.VerifyTicket(root) {
+		return nil, errRejected
+	}
+	return root.Child("tnSession"), nil
+}
+
+func adoptCheckedRoot(s svc, k pki.KeyPair, raw string, exp time.Time) {
+	root, _ := xmldom.ParseString(raw)
+	doc, err := checkRoot(k, root, exp)
+	if err != nil {
+		return
+	}
+	s.AdoptSessionDoc(doc)
+}
+
+// checkRootVerifyFirst does both checks in the wrong order: it is no
+// sanitizer, and its callers inherit the order.
+func checkRootVerifyFirst(k pki.KeyPair, root *xmldom.Node, exp time.Time) (*xmldom.Node, error) {
+	if !k.VerifyTicket(root) {
+		return nil, errRejected
+	}
+	if time.Now().After(exp) {
+		return nil, errRejected
+	}
+	return root.Child("tnSession"), nil
+}
+
+func adoptCheckedVerifyFirst(s svc, k pki.KeyPair, raw string, exp time.Time) {
+	root, _ := xmldom.ParseString(raw)
+	doc, err := checkRootVerifyFirst(k, root, exp)
+	if err != nil {
+		return
+	}
+	s.AdoptSessionDoc(doc) // want "signature verified before the expiry check"
+}
+
+// checkRootNoExpiry only verifies: no sanitizer.
+func checkRootNoExpiry(k pki.KeyPair, root *xmldom.Node) (*xmldom.Node, error) {
+	if !k.VerifyTicket(root) {
+		return nil, errRejected
+	}
+	return root.Child("tnSession"), nil
+}
+
+func adoptCheckedNoExpiry(s svc, k pki.KeyPair, raw string) {
+	root, _ := xmldom.ParseString(raw)
+	doc, err := checkRootNoExpiry(k, root)
+	if err != nil {
+		return
+	}
+	s.AdoptSessionDoc(doc) // want "reaches AdoptSessionDoc without an expiry check"
+}
+
 // locally built documents are not tainted.
 func adoptLocal(s svc) {
 	s.AdoptSessionDoc(&xmldom.Node{Name: "tnSession"})

@@ -359,7 +359,7 @@ func TestMigrationTicketExpiredRejected(t *testing.T) {
 
 	doc := xmldom.NewElement("tnSession").SetAttr("id", "stale-1")
 	notAfter := time.Now().Add(-time.Minute).UTC().Format(time.RFC3339)
-	sig := c.keys.Sign(sessionTicketBytes("stale-1", notAfter, doc.XML()))
+	sig := c.keys.Sign(ticketKind.signedBytes("stale-1", notAfter, doc.XML()))
 	ticket := xmldom.NewElement("sessionTicket").
 		SetAttr("id", "stale-1").
 		SetAttr("node", "ghost").

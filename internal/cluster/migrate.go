@@ -2,114 +2,16 @@ package cluster
 
 import (
 	"context"
-	"crypto/ed25519"
-	"encoding/base64"
 	"errors"
-	"fmt"
 	"net/http"
-	"time"
 
 	"trustvo/internal/xmldom"
 )
 
 // Live session migration: a draining (or rebalancing) node removes its
-// sessions from the service table, wraps each suspended-state document
-// in a signed, expiring session ticket, and posts it to the session's
-// current ring owner, which adopts it. The signature — the shared
-// cluster key standing in for a cluster-internal CA — keeps a forged or
-// replayed-from-backup snapshot from hijacking a negotiation, and the
-// expiry bounds how stale an adopted state can be.
-
-// sessionTicketBytes is the byte string the migration signature covers.
-func sessionTicketBytes(id, notAfter, docXML string) []byte {
-	return []byte("trustvo-session|" + id + "|" + notAfter + "|" + docXML)
-}
-
-// standbyTicketBytes is the byte string a standby-ship signature
-// covers; the distinct prefix domain-separates it from migration
-// tickets so one can never be replayed as the other.
-func standbyTicketBytes(id, notAfter, docXML string) []byte {
-	return []byte("trustvo-standby|" + id + "|" + notAfter + "|" + docXML)
-}
-
-// Standby rejection taxonomy, mirroring the migration-ticket rules:
-// expiry is a typed, counted 410; a bad signature is a 403.
-var (
-	errStandbyExpired   = errors.New("standby snapshot expired")
-	errStandbySignature = errors.New("standby snapshot signature verification failed")
-)
-
-// signedStandbyShip wraps one session snapshot in a signed, expiring
-// standbyShip document. The expiry matches the standby table TTL: a
-// snapshot too old for the table is also too old to adopt.
-func (n *Node) signedStandbyShip(id string, doc *xmldom.Node) (*xmldom.Node, error) {
-	if n.keys == nil {
-		return nil, fmt.Errorf("cluster: node %s has no standby signing key", n.cfg.Name)
-	}
-	notAfter := time.Now().Add(n.standbyTTL()).UTC().Format(time.RFC3339)
-	sig := n.keys.Sign(standbyTicketBytes(id, notAfter, doc.XML()))
-	ship := xmldom.NewElement("standbyShip").
-		SetAttr("id", id).
-		SetAttr("node", n.cfg.Name).
-		SetAttr("notAfter", notAfter)
-	ship.AppendChild(doc)
-	sigEl := xmldom.NewElement("signature")
-	sigEl.AppendChild(xmldom.NewText(base64.StdEncoding.EncodeToString(sig)))
-	ship.AppendChild(sigEl)
-	return ship, nil
-}
-
-// verifyStandbyShip validates a standbyShip — expiry before signature,
-// the same order handleAdopt enforces for migration tickets — and
-// returns the embedded session document. Every path that turns a
-// standby snapshot into a live session goes through here: the POST
-// ingress, local takeStandby, and the remote fetchStandby.
-func (n *Node) verifyStandbyShip(ship *xmldom.Node) (*xmldom.Node, error) {
-	id := ship.AttrOr("id", "")
-	doc := ship.Child("tnSession")
-	sigEl := ship.Child("signature")
-	if id == "" || doc == nil || sigEl == nil {
-		return nil, fmt.Errorf("cluster: standbyShip missing id, session or signature")
-	}
-	notAfter := ship.AttrOr("notAfter", "")
-	exp, err := time.Parse(time.RFC3339, notAfter)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: standbyShip notAfter: %w", err)
-	}
-	if time.Now().After(exp) {
-		return nil, fmt.Errorf("cluster: %w (notAfter %s)", errStandbyExpired, notAfter)
-	}
-	if n.keys == nil {
-		return nil, fmt.Errorf("cluster: node %s has no standby verification key", n.cfg.Name)
-	}
-	sig, err := base64.StdEncoding.DecodeString(sigEl.Text())
-	if err != nil {
-		return nil, fmt.Errorf("cluster: standbyShip signature not base64: %w", err)
-	}
-	if !ed25519.Verify(n.keys.Public, standbyTicketBytes(id, notAfter, doc.XML()), sig) {
-		return nil, fmt.Errorf("cluster: %w", errStandbySignature)
-	}
-	return doc, nil
-}
-
-// sessionTicket wraps one suspended session in a signed migration
-// ticket.
-func (n *Node) sessionTicket(id string, doc *xmldom.Node) (*xmldom.Node, error) {
-	if n.keys == nil {
-		return nil, fmt.Errorf("cluster: node %s has no migration signing key", n.cfg.Name)
-	}
-	notAfter := time.Now().Add(n.ticketTTL()).UTC().Format(time.RFC3339)
-	sig := n.keys.Sign(sessionTicketBytes(id, notAfter, doc.XML()))
-	t := xmldom.NewElement("sessionTicket").
-		SetAttr("id", id).
-		SetAttr("node", n.cfg.Name).
-		SetAttr("notAfter", notAfter)
-	t.AppendChild(doc)
-	sigEl := xmldom.NewElement("signature")
-	sigEl.AppendChild(xmldom.NewText(base64.StdEncoding.EncodeToString(sig)))
-	t.AppendChild(sigEl)
-	return t, nil
-}
+// sessions from the service table, seals each suspended-state document
+// as a session ticket (seal.go), and posts it to the session's current
+// ring owner, which unseals and adopts it.
 
 // Drain migrates every live, unfinished session to its current ring
 // owner. Remove the node from the ring first, so "current owner" is a
@@ -118,20 +20,17 @@ func (n *Node) sessionTicket(id string, doc *xmldom.Node) (*xmldom.Node, error) 
 // nothing acked. Returns how many sessions moved; the first send error
 // is reported after all sessions were attempted.
 func (n *Node) Drain(ctx context.Context) (int, error) {
-	return n.drain(ctx, nil)
+	return n.MigrateMisowned(ctx)
 }
 
 // MigrateMisowned migrates only sessions the ring no longer assigns to
 // this node — the rebalancing pass every survivor runs after membership
 // changes (a kill, a revival), so sessions follow their arcs.
 func (n *Node) MigrateMisowned(ctx context.Context) (int, error) {
-	return n.drain(ctx, func(id string) bool {
+	filter := func(id string) bool {
 		owner := n.ring.Owner(id)
 		return owner != "" && owner != n.cfg.Name
-	})
-}
-
-func (n *Node) drain(ctx context.Context, filter func(id string) bool) (int, error) {
+	}
 	moved := 0
 	var firstErr error
 	for id, doc := range n.tn.DrainSessions(filter) {
@@ -140,13 +39,13 @@ func (n *Node) drain(ctx context.Context, filter func(id string) bool) (int, err
 		}
 		target := n.ring.Owner(id)
 		if target == "" || target == n.cfg.Name {
-			// Still ours (drain without ring removal): put it back.
+			// The ring changed back since the filter ran: put it back.
 			if _, err := n.tn.AdoptSessionDoc(doc); err != nil && firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		if err := n.sendAdopt(ctx, target, id, doc); err != nil {
+		if err := n.postSealed(ctx, ticketKind, target, id, doc); err != nil {
 			n.logf("cluster: migrating session %s to %s: %v", id, target, err)
 			if firstErr == nil {
 				firstErr = err
@@ -154,8 +53,8 @@ func (n *Node) drain(ctx context.Context, filter func(id string) bool) (int, err
 			// Park the snapshot locally as standby state: if the target is
 			// the node adopting this id later, its retry path (or a
 			// subsequent migration pass) can still find it here. The
-			// standby table only holds signed ships now, so sign it.
-			if ship, serr := n.signedStandbyShip(id, doc); serr == nil {
+			// standby table only holds sealed ships.
+			if ship, serr := n.seal(standbyKind, id, doc); serr == nil {
 				n.putStandby(id, ship.XML())
 			} else {
 				n.logf("cluster: parking standby for %s: %v", id, serr)
@@ -170,60 +69,26 @@ func (n *Node) drain(ctx context.Context, filter func(id string) bool) (int, err
 	return moved, firstErr
 }
 
-// sendAdopt posts one signed session ticket to the target node.
-func (n *Node) sendAdopt(ctx context.Context, target, id string, doc *xmldom.Node) error {
-	base := n.peerURL(target)
-	if base == "" {
-		return fmt.Errorf("cluster: no address for migration target %s", target)
-	}
-	ticket, err := n.sessionTicket(id, doc)
-	if err != nil {
-		return err
-	}
-	_, err = n.transport.Call(ctx, http.MethodPost, base, "/cluster/adopt", "", ticket.XML(), true)
-	return err
-}
-
-// handleAdopt verifies and adopts a migrated session. Expiry is checked
-// before the signature: an expired ticket is a distinct, typed, counted
-// condition (410, not retryable), mirroring the client-side resume
-// ticket rule.
+// handleAdopt unseals and adopts a migrated session. An expired
+// ticket is a distinct, typed, counted condition (410, not retryable),
+// mirroring the client-side resume ticket rule.
 func (n *Node) handleAdopt(w http.ResponseWriter, r *http.Request) {
-	root, ok := readClusterBody(w, r, "sessionTicket")
+	root, ok := readClusterBody(w, r, ticketKind.root)
 	if !ok {
 		return
 	}
-	id := root.AttrOr("id", "")
-	doc := root.Child("tnSession")
-	sigEl := root.Child("signature")
-	if id == "" || doc == nil || sigEl == nil {
-		writeClusterFault(w, http.StatusBadRequest, "schema", "sessionTicket missing id, session or signature")
-		return
-	}
-	notAfter := root.AttrOr("notAfter", "")
-	exp, err := time.Parse(time.RFC3339, notAfter)
+	doc, err := n.unseal(ticketKind, root)
 	if err != nil {
-		writeClusterFault(w, http.StatusBadRequest, "schema", "sessionTicket notAfter: "+err.Error())
-		return
-	}
-	if time.Now().After(exp) {
-		if m := n.metrics; m != nil {
-			m.Counter("tn_ticket_expired_total").Inc()
+		status, code, _ := unsealFault(ticketKind, err)
+		switch {
+		case errors.Is(err, errSealExpired):
+			if m := n.metrics; m != nil {
+				m.Counter("tn_ticket_expired_total").Inc()
+			}
+		case errors.Is(err, errSealNoKey):
+			status, code = http.StatusServiceUnavailable, "no-key"
 		}
-		writeClusterFault(w, http.StatusGone, "ticket-expired", "session ticket expired "+notAfter)
-		return
-	}
-	if n.keys == nil {
-		writeClusterFault(w, http.StatusServiceUnavailable, "no-key", "node has no migration verification key")
-		return
-	}
-	sig, err := base64.StdEncoding.DecodeString(sigEl.Text())
-	if err != nil {
-		writeClusterFault(w, http.StatusBadRequest, "schema", "sessionTicket signature not base64")
-		return
-	}
-	if !ed25519.Verify(n.keys.Public, sessionTicketBytes(id, notAfter, doc.XML()), sig) {
-		writeClusterFault(w, http.StatusForbidden, "ticket-signature", "session ticket signature verification failed")
+		writeClusterFault(w, status, code, err.Error())
 		return
 	}
 	if _, err := n.tn.AdoptSessionDoc(doc); err != nil {
@@ -233,5 +98,5 @@ func (n *Node) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	if m := n.metrics; m != nil {
 		m.Counter("cluster_adoptions_total", "source", "migration").Inc()
 	}
-	writeClusterDOM(w, xmldom.NewElement("adopted").SetAttr("id", id))
+	writeClusterDOM(w, xmldom.NewElement("adopted").SetAttr("id", root.AttrOr("id", "")))
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -33,8 +32,8 @@ type Config struct {
 	Transport *wsrpc.Transport
 	// Metrics receives the node's cluster telemetry (nil disables).
 	Metrics *telemetry.Registry
-	// Keys signs session migration tickets. All nodes of a cluster share
-	// the key pair, standing in for a deployment's cluster-internal CA.
+	// Keys seals migration tickets and standby ships. All nodes of a
+	// cluster share the key pair, standing in for a cluster-internal CA.
 	Keys *pki.KeyPair
 	// Redirect answers misrouted joins with 307 + the owner's URL instead
 	// of forwarding server-side. Clients following redirects spare the
@@ -261,38 +260,22 @@ func (n *Node) mintOwnedID() (string, error) {
 // ships to its ring successor. An error here withholds the reply, so a
 // client holding reply k implies the standby holds state ≥ k: the
 // invariant that makes failover adoption lossless for acked traffic.
+// Ships are sealed, so no node holds or adopts a forged snapshot.
 func (n *Node) shipStandby(ctx context.Context, id string, doc *xmldom.Node) error {
 	target := n.ring.Successor(id)
 	if target == "" || target == n.cfg.Name {
 		return nil // single-node ring: no standby to keep
 	}
-	base := n.peerURL(target)
-	if base == "" {
-		n.countShip("error")
-		return fmt.Errorf("cluster: no address for standby target %s", target)
-	}
-	// Ships are signed with the cluster key: the receiving node refuses
-	// to hold — and, later, to adopt — a snapshot the cluster did not
-	// vouch for, so a forged POST cannot hijack a negotiation via the
-	// failover path the way it never could via the migration path.
-	ship, err := n.signedStandbyShip(id, doc)
+	err := n.postSealed(ctx, standbyKind, target, id, doc)
+	result := "ok"
 	if err != nil {
-		n.countShip("error")
-		return fmt.Errorf("cluster: standby ship of %s to %s: %w", id, target, err)
+		result = "error"
+		err = fmt.Errorf("cluster: standby ship of %s to %s: %w", id, target, err)
 	}
-	_, err = n.transport.Call(ctx, "POST", base, "/cluster/standby", "", ship.XML(), true)
-	if err != nil {
-		n.countShip("error")
-		return fmt.Errorf("cluster: standby ship of %s to %s: %w", id, target, err)
-	}
-	n.countShip("ok")
-	return nil
-}
-
-func (n *Node) countShip(result string) {
 	if m := n.metrics; m != nil {
 		m.Counter("cluster_standby_ships_total", "result", result).Inc()
 	}
+	return err
 }
 
 // putStandby stores an unclaimed standby snapshot (last write wins: the
@@ -315,26 +298,32 @@ func (n *Node) putStandby(id, xml string) {
 	}
 }
 
-// takeStandby removes, re-verifies, and unwraps the standby ship for
-// id, if one is held and still fresh. Verification happens again at
-// the point of use — not just at POST ingress — so the table itself is
-// never trusted: the signature and expiry travel with the snapshot.
-func (n *Node) takeStandby(id string) (*xmldom.Node, bool) {
-	n.mu.Lock() //lint:allow nakedlock XML parse below must run outside the lock
+// popStandby removes the standby ship held for id and returns it as
+// stored, unless none is held or it is past the table TTL, which bounds
+// how stale an adopted or surrendered state can be.
+func (n *Node) popStandby(id string) (string, bool) {
+	now := time.Now()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	d, ok := n.standby[id]
-	if ok {
-		delete(n.standby, id)
-	}
-	n.mu.Unlock()
-	if !ok || time.Since(d.at) > n.standbyTTL() {
+	delete(n.standby, id)
+	return d.xml, ok && now.Sub(d.at) <= n.standbyTTL()
+}
+
+// takeStandby pops and unseals the standby ship for id. Unsealing again
+// at the point of use, not just at POST ingress, means the table itself
+// is never trusted: the signature and expiry travel with the snapshot.
+func (n *Node) takeStandby(id string) (*xmldom.Node, bool) {
+	raw, ok := n.popStandby(id)
+	if !ok {
 		return nil, false
 	}
-	ship, err := xmldom.ParseString(d.xml)
+	ship, err := xmldom.ParseString(raw)
 	if err != nil {
 		n.logf("cluster: dropping unparseable standby snapshot %s: %v", id, err)
 		return nil, false
 	}
-	doc, err := n.verifyStandbyShip(ship)
+	doc, err := n.unseal(standbyKind, ship)
 	if err != nil {
 		n.countStandbyReject(err)
 		n.logf("cluster: dropping standby snapshot %s: %v", id, err)
@@ -346,13 +335,7 @@ func (n *Node) takeStandby(id string) (*xmldom.Node, bool) {
 // countStandbyReject counts a refused standby snapshot by reason.
 func (n *Node) countStandbyReject(err error) {
 	if m := n.metrics; m != nil {
-		reason := "schema"
-		switch {
-		case errors.Is(err, errStandbyExpired):
-			reason = "expired"
-		case errors.Is(err, errStandbySignature):
-			reason = "signature"
-		}
+		_, _, reason := unsealFault(standbyKind, err)
 		m.Counter("cluster_standby_rejects_total", "reason", reason).Inc()
 	}
 }

@@ -215,7 +215,7 @@ func (n *Node) fetchStandby(ctx context.Context, id string) (*xmldom.Node, bool)
 	if err != nil {
 		return nil, false
 	}
-	doc, err := n.verifyStandbyShip(root)
+	doc, err := n.unseal(standbyKind, root)
 	if err != nil {
 		n.countStandbyReject(err)
 		n.logf("cluster: refusing fetched standby snapshot %s: %v", id, err)
@@ -231,44 +231,25 @@ func (n *Node) fetchStandby(ctx context.Context, id string) (*xmldom.Node, bool)
 func (n *Node) handleStandby(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodGet {
 		id := r.URL.Query().Get("negotiation")
-		now := time.Now()
-		n.mu.Lock() //lint:allow nakedlock response write below must run outside the lock
-		d, held := n.standby[id]
-		if held {
-			delete(n.standby, id)
-		}
-		n.mu.Unlock()
-		// A snapshot past the table TTL is surrendered to no one: the TTL
-		// bounds how stale an adopted state can be, the same rule
-		// takeStandby applies to the local adoption path.
-		if id == "" || !held || now.Sub(d.at) > n.standbyTTL() {
+		raw, held := n.popStandby(id)
+		if !held {
 			writeClusterFault(w, http.StatusNotFound, "standby", "no standby snapshot for "+id)
 			return
 		}
 		// The table holds the ship exactly as shipped — signature,
 		// expiry and all — so the requester re-verifies what we stored.
-		ship, err := xmldom.ParseString(d.xml)
-		if err != nil {
-			writeClusterFault(w, http.StatusInternalServerError, "standby", err.Error())
-			return
-		}
-		writeClusterDOM(w, ship)
+		w.Header().Set("Content-Type", wsrpc.ContentType)
+		io.WriteString(w, raw)
 		return
 	}
-	root, ok := readClusterBody(w, r, "standbyShip")
+	root, ok := readClusterBody(w, r, standbyKind.root)
 	if !ok {
 		return
 	}
 	id := root.AttrOr("id", "")
-	if _, err := n.verifyStandbyShip(root); err != nil {
+	if _, err := n.unseal(standbyKind, root); err != nil {
 		n.countStandbyReject(err)
-		status, code := http.StatusBadRequest, "schema"
-		switch {
-		case errors.Is(err, errStandbyExpired):
-			status, code = http.StatusGone, "standby-expired"
-		case errors.Is(err, errStandbySignature):
-			status, code = http.StatusForbidden, "standby-signature"
-		}
+		status, code, _ := unsealFault(standbyKind, err)
 		writeClusterFault(w, status, code, err.Error())
 		return
 	}

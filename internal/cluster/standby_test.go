@@ -49,7 +49,7 @@ func TestStandbyShipRejectsUnsignedAndForged(t *testing.T) {
 	// Signed by a key the cluster does not hold: signature rejection.
 	intruder := pki.MustGenerateKeyPair()
 	notAfter := time.Now().Add(time.Hour).UTC().Format(time.RFC3339)
-	sig := intruder.Sign(standbyTicketBytes("sess-1", notAfter, doc.XML()))
+	sig := intruder.Sign(standbyKind.signedBytes("sess-1", notAfter, doc.XML()))
 	forged := xmldom.NewElement("standbyShip").
 		SetAttr("id", "sess-1").
 		SetAttr("notAfter", notAfter)
@@ -74,7 +74,7 @@ func TestStandbyShipRejectsExpired(t *testing.T) {
 
 	doc := xmldom.NewElement("tnSession").SetAttr("id", "sess-2")
 	notAfter := time.Now().Add(-time.Minute).UTC().Format(time.RFC3339)
-	sig := c.keys.Sign(standbyTicketBytes("sess-2", notAfter, doc.XML()))
+	sig := c.keys.Sign(standbyKind.signedBytes("sess-2", notAfter, doc.XML()))
 	ship := xmldom.NewElement("standbyShip").
 		SetAttr("id", "sess-2").
 		SetAttr("notAfter", notAfter)
@@ -94,7 +94,7 @@ func TestStandbySignedRoundTrip(t *testing.T) {
 	b := c.addNode("b")
 
 	doc := xmldom.NewElement("tnSession").SetAttr("id", "sess-3")
-	ship, err := b.node.signedStandbyShip("sess-3", doc)
+	ship, err := b.node.seal(standbyKind, "sess-3", doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestTakeStandbyRefusesTamperedTable(t *testing.T) {
 	b := c.addNode("b")
 
 	doc := xmldom.NewElement("tnSession").SetAttr("id", "sess-4")
-	ship, err := b.node.signedStandbyShip("sess-4", doc)
+	ship, err := b.node.seal(standbyKind, "sess-4", doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestHandleStandbyGetRefusesStale(t *testing.T) {
 	b := c.addNode("b")
 
 	doc := xmldom.NewElement("tnSession").SetAttr("id", "sess-5")
-	ship, err := b.node.signedStandbyShip("sess-5", doc)
+	ship, err := b.node.seal(standbyKind, "sess-5", doc)
 	if err != nil {
 		t.Fatal(err)
 	}

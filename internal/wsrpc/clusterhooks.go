@@ -1,11 +1,10 @@
 package wsrpc
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
-	"trustvo/internal/negotiation"
 	"trustvo/internal/xmldom"
 )
 
@@ -26,10 +25,10 @@ func (s *TNService) HasSession(id string) bool {
 
 // AdoptSessionDoc restores one suspended-session document (the
 // <tnSession> produced by the suspend/standby path) into the live table
-// under its embedded id, claiming a capacity slot. When a live session
-// already holds the id the adoption is skipped — the live copy is at
-// least as fresh as any shipped snapshot, so a duplicate or stale
-// delivery must not clobber it.
+// under its embedded id, taking a capacity slot without the MaxSessions
+// check (see insertSession). When a live session already holds the id
+// the adoption is skipped — the live copy is at least as fresh as any
+// shipped snapshot, so a duplicate or stale delivery must not clobber it.
 func (s *TNService) AdoptSessionDoc(doc *xmldom.Node) (string, error) {
 	id := doc.AttrOr("id", "")
 	if id == "" {
@@ -44,18 +43,8 @@ func (s *TNService) AdoptSessionDoc(doc *xmldom.Node) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sh := s.shard(id)
-	sh.mu.Lock() //lint:allow nakedlock metrics below must run outside the stripe lock
-	if _, exists := sh.m[id]; exists {
-		sh.mu.Unlock()
-		return id, nil
-	}
-	sh.m[id] = sess
-	sh.mu.Unlock()
-	s.active.Add(1)
-	if m := s.Metrics; m != nil {
-		m.Counter("tn_sessions_adopted_total").Inc()
-		m.Gauge("tn_sessions_active").Inc()
+	if err := s.insertSession(id, sess, sessionAdopted); err != nil && !errors.Is(err, errSessionExists) {
+		return "", err
 	}
 	return id, nil
 }
@@ -70,35 +59,8 @@ func (s *TNService) EnsureSession(id string) error {
 	if s.HasSession(id) {
 		return nil
 	}
-	party, err := s.sessionParty()
-	if err != nil {
+	if err := s.insertSession(id, nil, sessionFresh); err != nil && !errors.Is(err, errSessionExists) {
 		return err
-	}
-	sh := s.shard(id)
-	s.sweepShard(sh)
-	if !s.reserveActive() {
-		for _, other := range s.shardTable() {
-			s.sweepShard(other)
-		}
-		s.evictForCapacity()
-		if !s.reserveActive() {
-			return &capacityError{active: int(s.active.Load()), retryAfter: s.capacityRetry()}
-		}
-	}
-	sh.mu.Lock() //lint:allow nakedlock slot release on the exists path must run outside the stripe lock
-	if _, exists := sh.m[id]; exists {
-		sh.mu.Unlock()
-		s.active.Add(-1) // lost the race: the winner holds the slot
-		return nil
-	}
-	sh.m[id] = &tnSession{
-		endpoint: negotiation.NewController(party),
-		lastUsed: time.Now(),
-	}
-	sh.mu.Unlock()
-	if m := s.Metrics; m != nil {
-		m.Counter("tn_sessions_created_total").Inc()
-		m.Gauge("tn_sessions_active").Inc()
 	}
 	return nil
 }
@@ -112,29 +74,9 @@ func (s *TNService) EnsureSession(id string) error {
 // released.
 func (s *TNService) DrainSessions(filter func(id string) bool) map[string]*xmldom.Node {
 	out := make(map[string]*xmldom.Node)
-	for _, sh := range s.shardTable() {
-		sh.mu.Lock() //lint:allow nakedlock snapshot per stripe inside a loop; defer would hold the lock across stripes
-		drained := make(map[string]*tnSession)
-		for id, sess := range sh.m {
-			if sess.done.Load() {
-				continue
-			}
-			if filter != nil && !filter(id) {
-				continue
-			}
-			drained[id] = sess
-			delete(sh.m, id)
-		}
-		sh.mu.Unlock()
-		for id, sess := range drained {
-			s.retire(sess)
-			doc, ok := sess.suspendDoc(id)
-			if !ok {
-				out[id] = nil
-				continue
-			}
-			out[id] = doc
-		}
-	}
+	_ = s.exportSessions(filter, true, func(id string, doc *xmldom.Node) error { // emit never fails
+		out[id] = doc
+		return nil
+	})
 	return out
 }

@@ -448,3 +448,80 @@ func TestCapacity503RetryAfter(t *testing.T) {
 		t.Fatalf("tn_start_rejected_total = %d", got)
 	}
 }
+
+// TestAdoptedSessionSkipsCapacityBound: a restored session carries
+// state its client already holds acks for, so adopting it into a full
+// service succeeds and pushes the count one past MaxSessions; fresh
+// /tn/start requests then get 503 + Retry-After until enough sessions
+// retire to bring the count back under the bound.
+func TestAdoptedSessionSkipsCapacityBound(t *testing.T) {
+	const max = 3
+	svc, srv, parties := concurrentTN(t, 1)
+	cli := &TNClient{BaseURL: srv.URL, Party: parties[0]}
+
+	// A mid-negotiation session to adopt: one message exchanged, then
+	// drained off the table (which retires its slot).
+	moving, err := cli.Start(bg, "R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := negotiation.NewRequester(parties[0], "R").Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Exchange(bg, moving, msg); err != nil {
+		t.Fatal(err)
+	}
+	doc := svc.DrainSessions(func(id string) bool { return id == moving })[moving]
+	if doc == nil {
+		t.Fatal("drained session has no suspended-state document")
+	}
+
+	svc.MaxSessions = max
+	ids := make([]string, max)
+	for i := range ids {
+		if ids[i], err = cli.Start(bg, "R"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := svc.AdoptSessionDoc(doc); err != nil {
+		t.Fatalf("adopt into a full service: %v", err)
+	}
+	gauge := svc.Metrics.Gauge("tn_sessions_active")
+	if a, g, n := svc.active.Load(), gauge.Value(), svc.Sessions(); a != max+1 || g != max+1 || n != max+1 {
+		t.Fatalf("after adopt: active=%d gauge=%d Sessions()=%d, want %d each", a, g, n, max+1)
+	}
+
+	start := func() *http.Response {
+		t.Helper()
+		req := xmldom.NewElement("startNegotiationRequest").SetAttr("resource", "R")
+		resp, err := http.Post(srv.URL+"/tn/start", ContentType, strings.NewReader(req.XML()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	refused := func(when string) {
+		t.Helper()
+		resp := start()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s: /tn/start status %d Retry-After %q, want 503 with Retry-After",
+				when, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
+	retire := func(id string) {
+		t.Helper()
+		if got := svc.DrainSessions(func(d string) bool { return d == id }); len(got) != 1 {
+			t.Fatalf("retiring %s drained %d sessions", id, len(got))
+		}
+	}
+
+	refused("over the bound")
+	retire(ids[0]) // back at the bound: still full
+	refused("at the bound")
+	retire(ids[1])
+	if resp := start(); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/tn/start after retirements: status %d, want 200", resp.StatusCode)
+	}
+}

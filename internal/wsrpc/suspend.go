@@ -25,8 +25,8 @@ import (
 const KindTNSession = "tnsession"
 
 // suspendDoc snapshots one session into its store document under the
-// session lock, reporting ok=false when there is nothing to resume.
-func (sess *tnSession) suspendDoc(id string) (doc *xmldom.Node, ok bool) {
+// session lock, returning nil when there is nothing to resume.
+func (sess *tnSession) suspendDoc(id string) *xmldom.Node {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	return sess.suspendDocLocked(id)
@@ -35,15 +35,15 @@ func (sess *tnSession) suspendDoc(id string) (doc *xmldom.Node, ok bool) {
 // suspendDocLocked is suspendDoc for callers already holding sess.mu
 // (the per-message standby ship runs inside the exchange handler's
 // critical section).
-func (sess *tnSession) suspendDocLocked(id string) (doc *xmldom.Node, ok bool) {
+func (sess *tnSession) suspendDocLocked(id string) *xmldom.Node {
 	if sess.endpoint == nil {
-		return nil, false // finished
+		return nil // finished
 	}
 	state, err := sess.endpoint.SnapshotDOM()
 	if err != nil {
-		return nil, false
+		return nil
 	}
-	doc = xmldom.NewElement("tnSession").
+	doc := xmldom.NewElement("tnSession").
 		SetAttr("id", id).
 		SetAttr("lastSeq", strconv.FormatInt(sess.lastSeq, 10)).
 		SetAttr("lastStatus", strconv.Itoa(sess.lastReplyStatus))
@@ -53,7 +53,44 @@ func (sess *tnSession) suspendDocLocked(id string) (doc *xmldom.Node, ok bool) {
 		lr.AppendChild(xmldom.NewText(sess.lastReply))
 		doc.AppendChild(lr)
 	}
-	return doc, true
+	return doc
+}
+
+// pick returns the stripe's unfinished sessions that filter accepts
+// (nil accepts all), removing them from the stripe when remove is set.
+func (sh *sessionShard) pick(filter func(id string) bool, remove bool) map[string]*tnSession {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	picked := make(map[string]*tnSession, len(sh.m))
+	for id, sess := range sh.m {
+		if sess.done.Load() || (filter != nil && !filter(id)) {
+			continue
+		}
+		picked[id] = sess
+		if remove {
+			delete(sh.m, id)
+		}
+	}
+	return picked
+}
+
+// exportSessions is the one export loop of SuspendSessions and, with
+// remove set (each session leaves the table and is retired),
+// DrainSessions. It picks each stripe's sessions under the stripe lock
+// and serializes them outside it, handing emit each suspended-state
+// document (nil: nothing to resume). The first emit error stops it.
+func (s *TNService) exportSessions(filter func(id string) bool, remove bool, emit func(id string, doc *xmldom.Node) error) error {
+	for _, sh := range s.shardTable() {
+		for id, sess := range sh.pick(filter, remove) {
+			if remove {
+				s.retire(sess)
+			}
+			if err := emit(id, sess.suspendDoc(id)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // SuspendSessions persists every live, unfinished session to db and
@@ -65,33 +102,18 @@ func (s *TNService) SuspendSessions(db *store.Store) (int, error) {
 		return 0, fmt.Errorf("wsrpc: suspend requires a store")
 	}
 	suspended := 0
-	for _, sh := range s.shardTable() {
-		// Snapshot the stripe under its lock, then serialize outside it:
-		// suspendDoc takes sess.mu and db.Put hits the WAL, neither of
-		// which belongs inside a stripe critical section. A session the
-		// snapshot caught that a concurrent sweep then expires is still
-		// safe to persist — retire() guarantees the slot was released
-		// exactly once, and the restored copy claims a fresh slot.
-		sh.mu.Lock() //lint:allow nakedlock snapshot per stripe inside a loop; defer would hold the lock across stripes
-		live := make(map[string]*tnSession, len(sh.m))
-		for id, sess := range sh.m {
-			if !sess.done.Load() {
-				live[id] = sess
-			}
+	err := s.exportSessions(nil, false, func(id string, doc *xmldom.Node) error {
+		if doc == nil {
+			return nil
 		}
-		sh.mu.Unlock()
-		for id, sess := range live {
-			doc, ok := sess.suspendDoc(id)
-			if !ok {
-				// e.g. a session created by /tn/start that never saw a
-				// message: nothing to resume
-				continue
-			}
-			if err := db.Put(KindTNSession, id, doc); err != nil {
-				return suspended, err
-			}
-			suspended++
+		if err := db.Put(KindTNSession, id, doc); err != nil {
+			return err
 		}
+		suspended++
+		return nil
+	})
+	if err != nil {
+		return suspended, err
 	}
 	if m := s.Metrics; m != nil && suspended > 0 {
 		m.Counter("tn_sessions_suspended_total").Add(int64(suspended))
@@ -111,25 +133,19 @@ func (s *TNService) ResumeSessions(db *store.Store) (int, error) {
 	for _, rec := range db.List(KindTNSession) {
 		id := rec.Key
 		doc, err := rec.Doc()
-		if err != nil {
-			s.logf("wsrpc: dropping unreadable suspended session %s: %v", id, err)
-			db.Delete(KindTNSession, id)
-			continue
+		var sess *tnSession
+		if err == nil {
+			sess, err = s.restoreSession(doc)
 		}
-		sess, err := s.restoreSession(doc)
 		if err != nil {
 			s.logf("wsrpc: dropping unrestorable suspended session %s: %v", id, err)
 			db.Delete(KindTNSession, id)
 			continue
 		}
-		s.shard(id).put(id, sess)
-		s.active.Add(1)
-		if m := s.Metrics; m != nil {
-			m.Counter("tn_sessions_resumed_total").Inc()
-			m.Gauge("tn_sessions_active").Inc()
+		if s.insertSession(id, sess, sessionResumed) == nil {
+			resumed++
 		}
 		db.Delete(KindTNSession, id)
-		resumed++
 	}
 	return resumed, db.Sync()
 }
@@ -146,39 +162,38 @@ func (s *TNService) restoreSession(doc *xmldom.Node) (*tnSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess := &tnSession{endpoint: ep, lastUsed: time.Now()}
-	// A malformed lastSeq or lastStatus must not be collapsed to 0: seq 0
-	// disables the replay cache, so a corrupt record would silently lose
-	// the session's at-most-once protection. Reject it; the caller logs
-	// and drops the record.
-	if raw := doc.AttrOr("lastSeq", ""); raw != "" {
-		var err error
-		sess.lastSeq, err = strconv.ParseInt(raw, 10, 64)
-		if err != nil || sess.lastSeq < 0 {
-			s.countBadEnvelope()
-			return nil, &Error{
-				Op:     "resume",
-				Status: http.StatusBadRequest,
-				Code:   "envelope",
-				Err:    fmt.Errorf("wsrpc: malformed lastSeq %q in suspended session", raw),
-			}
-		}
+	seq, err := s.replayAttr(doc, "lastSeq")
+	if err != nil {
+		return nil, err
 	}
-	if raw := doc.AttrOr("lastStatus", ""); raw != "" {
-		var err error
-		sess.lastReplyStatus, err = strconv.Atoi(raw)
-		if err != nil || sess.lastReplyStatus < 0 {
-			s.countBadEnvelope()
-			return nil, &Error{
-				Op:     "resume",
-				Status: http.StatusBadRequest,
-				Code:   "envelope",
-				Err:    fmt.Errorf("wsrpc: malformed lastStatus %q in suspended session", raw),
-			}
-		}
+	status, err := s.replayAttr(doc, "lastStatus")
+	if err != nil {
+		return nil, err
 	}
+	sess := &tnSession{endpoint: ep, lastUsed: time.Now(), lastSeq: seq, lastReplyStatus: int(status)}
 	if lr := doc.Child("lastReply"); lr != nil {
 		sess.lastReply = lr.Text()
 	}
 	return sess, nil
+}
+
+// replayAttr parses an optional reply-cache attribute. A malformed one
+// is rejected, not collapsed to 0: seq 0 disables the replay cache, so
+// the session would silently lose its at-most-once protection.
+func (s *TNService) replayAttr(doc *xmldom.Node, name string) (int64, error) {
+	raw := doc.AttrOr(name, "")
+	if raw == "" {
+		return 0, nil
+	}
+	v, err := strconv.ParseInt(raw, 10, 64)
+	if err != nil || v < 0 {
+		s.countBadEnvelope()
+		return 0, &Error{
+			Op:     "resume",
+			Status: http.StatusBadRequest,
+			Code:   "envelope",
+			Err:    fmt.Errorf("wsrpc: malformed %s %q in suspended session", name, raw),
+		}
+	}
+	return v, nil
 }

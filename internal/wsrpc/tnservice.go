@@ -265,15 +265,9 @@ func (e *capacityError) Error() string {
 // capacityRetry estimates how long until the oldest live session
 // crosses the half-age eviction threshold.
 func (s *TNService) capacityRetry() time.Duration {
-	var oldest time.Time
-	for _, sh := range s.shardTable() {
-		if t := sh.oldestLive(); !t.IsZero() && (oldest.IsZero() || t.Before(oldest)) {
-			oldest = t
-		}
-	}
 	wait := s.maxAge() / 2
-	if !oldest.IsZero() {
-		wait = time.Until(oldest.Add(s.maxAge() / 2))
+	if _, _, oldest, used := s.oldestIdle(time.Now()); oldest != nil {
+		wait = time.Until(used.Add(s.maxAge() / 2))
 	}
 	if wait < time.Second {
 		wait = time.Second
@@ -281,28 +275,16 @@ func (s *TNService) capacityRetry() time.Duration {
 	return wait
 }
 
-// put inserts a session into the stripe.
-func (sh *sessionShard) put(id string, sess *tnSession) {
+// putNew inserts sess under id unless the stripe already holds id,
+// reporting whether it did.
+func (sh *sessionShard) putNew(id string, sess *tnSession) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.m[id] = sess
-}
-
-// oldestLive returns the lastUsed time of the shard's oldest unfinished
-// session (zero when it has none).
-func (sh *sessionShard) oldestLive() time.Time {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var oldest time.Time
-	for _, sess := range sh.m {
-		if sess.done.Load() {
-			continue
-		}
-		if oldest.IsZero() || sess.lastUsed.Before(oldest) {
-			oldest = sess.lastUsed
-		}
+	if _, exists := sh.m[id]; exists {
+		return false
 	}
-	return oldest
+	sh.m[id] = sess
+	return true
 }
 
 // retire releases sess's capacity slot, reporting whether this caller is
@@ -357,32 +339,65 @@ func (s *TNService) newSession() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	party, err := s.sessionParty()
-	if err != nil {
-		return "", err
-	}
+	return id, s.insertSession(id, nil, sessionFresh)
+}
+
+// errSessionExists reports an insert under an id a live session holds.
+var errSessionExists = errors.New("wsrpc: session id already in use")
+
+// sessionOrigin fixes the capacity rule and counter of insertSession.
+type sessionOrigin int
+
+const (
+	sessionFresh   sessionOrigin = iota // newSession, EnsureSession
+	sessionAdopted                      // AdoptSessionDoc
+	sessionResumed                      // ResumeSessions
+)
+
+// insertSession is the one way into the session table; it never
+// overwrites a live id (errSessionExists). A fresh session (sess nil:
+// built here) must reserve a slot under MaxSessions, sweeping and then
+// evicting under pressure, or fail with a *capacityError. A restored
+// session holds state its client has acks for, so it takes a slot
+// without the bound check; /tn/start answers 503 until enough sessions
+// retire. The slot is held before the session is visible.
+func (s *TNService) insertSession(id string, sess *tnSession, origin sessionOrigin) error {
 	sh := s.shard(id)
-	// Amortized cleanup: each new session sweeps only its own stripe.
-	// The full-table sweep is reserved for capacity pressure below.
-	s.sweepShard(sh)
-	if !s.reserveActive() {
-		for _, other := range s.shardTable() {
-			s.sweepShard(other)
+	if origin == sessionFresh {
+		party, err := s.sessionParty()
+		if err != nil {
+			return err
 		}
-		s.evictForCapacity()
+		sess = &tnSession{endpoint: negotiation.NewController(party), lastUsed: time.Now()}
+		s.sweepShard(sh)
 		if !s.reserveActive() {
-			return "", &capacityError{active: int(s.active.Load()), retryAfter: s.capacityRetry()}
+			for _, other := range s.shardTable() {
+				s.sweepShard(other)
+			}
+			s.evictForCapacity()
+			if !s.reserveActive() {
+				return &capacityError{active: int(s.active.Load()), retryAfter: s.capacityRetry()}
+			}
 		}
+	} else {
+		s.active.Add(1)
 	}
-	sh.put(id, &tnSession{
-		endpoint: negotiation.NewController(party),
-		lastUsed: time.Now(),
-	})
+	if !sh.putNew(id, sess) {
+		s.active.Add(-1)
+		return errSessionExists
+	}
 	if m := s.Metrics; m != nil {
-		m.Counter("tn_sessions_created_total").Inc()
+		switch origin {
+		case sessionFresh:
+			m.Counter("tn_sessions_created_total").Inc()
+		case sessionAdopted:
+			m.Counter("tn_sessions_adopted_total").Inc()
+		case sessionResumed:
+			m.Counter("tn_sessions_resumed_total").Inc()
+		}
 		m.Gauge("tn_sessions_active").Inc()
 	}
-	return id, nil
+	return nil
 }
 
 // sessionParty prepares the negotiating identity for one session: the
@@ -509,7 +524,7 @@ func (s *TNService) evictForCapacity() {
 	idleCutoff := time.Now().Add(-s.maxAge() / 2)
 	max := int64(s.maxSessions())
 	for s.active.Load() >= max {
-		sh, id, oldest := s.oldestIdle(idleCutoff)
+		sh, id, oldest, used := s.oldestIdle(idleCutoff)
 		if oldest == nil {
 			return
 		}
@@ -518,7 +533,7 @@ func (s *TNService) evictForCapacity() {
 		}
 		if s.retire(oldest) {
 			s.logf("wsrpc: evicted live negotiation %s idle=%s under session pressure (%d/%d active)",
-				id, time.Since(oldest.lastUsed).Round(time.Millisecond), s.active.Load(), s.maxSessions())
+				id, time.Since(used).Round(time.Millisecond), s.active.Load(), s.maxSessions())
 			if m := s.Metrics; m != nil {
 				m.Counter("tn_sessions_swept_total", "reason", "evicted").Inc()
 			}
@@ -531,9 +546,9 @@ func (s *TNService) evictForCapacity() {
 }
 
 // oldestIdle scans all stripes for the oldest unfinished session idle
-// since before cutoff, returning its stripe, id and session (nil when no
-// stripe has one).
-func (s *TNService) oldestIdle(cutoff time.Time) (*sessionShard, string, *tnSession) {
+// since before cutoff, returning its stripe, id, session (nil when no
+// stripe has one) and last use.
+func (s *TNService) oldestIdle(cutoff time.Time) (*sessionShard, string, *tnSession, time.Time) {
 	var (
 		bestShard *sessionShard
 		bestID    string
@@ -552,7 +567,7 @@ func (s *TNService) oldestIdle(cutoff time.Time) (*sessionShard, string, *tnSess
 		}
 		sh.mu.Unlock()
 	}
-	return bestShard, bestID, best
+	return bestShard, bestID, best, bestUsed
 }
 
 // remove deletes id from the stripe iff it still maps to sess and sess
@@ -661,8 +676,7 @@ func (s *TNService) exchangeHandler(phase phaseKind) http.HandlerFunc {
 			// The replay must clear the standby gate too — the retry may
 			// exist precisely because the first ship attempt failed and
 			// withheld the reply.
-			if err := s.shipSessionUpdate(r.Context(), id, sess); err != nil {
-				writeShipFault(w, err)
+			if !s.shipSessionUpdate(w, r, id, sess) {
 				return
 			}
 			if m := s.Metrics; m != nil {
@@ -719,8 +733,7 @@ func (s *TNService) exchangeHandler(phase phaseKind) http.HandlerFunc {
 		// must be accepted by the hook before the reply leaves. On
 		// failure the client retries the same sequence number and lands
 		// on the replay path above, which re-attempts the ship.
-		if err := s.shipSessionUpdate(r.Context(), id, sess); err != nil {
-			writeShipFault(w, err)
+		if !s.shipSessionUpdate(w, r, id, sess) {
 			return
 		}
 		writeRaw(w, status, respBody)
@@ -728,28 +741,27 @@ func (s *TNService) exchangeHandler(phase phaseKind) http.HandlerFunc {
 }
 
 // shipSessionUpdate pushes the session's suspended-state document
-// through the OnSessionUpdate hook (caller holds sess.mu). Sessions
-// with nothing to snapshot — no message processed yet, or already
-// finished — ship nothing: a finished negotiation's outcome is in the
-// client's hands, so its loss costs no acked state.
-func (s *TNService) shipSessionUpdate(ctx context.Context, id string, sess *tnSession) error {
-	ship := s.OnSessionUpdate
-	if ship == nil {
-		return nil
+// through the OnSessionUpdate hook (caller holds sess.mu), reporting
+// whether the reply may be released. Sessions with nothing to snapshot
+// — no message processed yet, or already finished — ship nothing: a
+// finished negotiation's outcome is in the client's hands, so its loss
+// costs no acked state. A failed ship is answered as honest
+// backpressure: retryable, with the reply withheld so the
+// acked-implies-shipped invariant holds.
+func (s *TNService) shipSessionUpdate(w http.ResponseWriter, r *http.Request, id string, sess *tnSession) bool {
+	if s.OnSessionUpdate == nil {
+		return true
 	}
-	doc, ok := sess.suspendDocLocked(id)
-	if !ok {
-		return nil
+	doc := sess.suspendDocLocked(id)
+	if doc == nil {
+		return true
 	}
-	return ship(ctx, id, doc)
-}
-
-// writeShipFault reports a failed standby ship as honest backpressure:
-// retryable, with the reply withheld so the acked-implies-shipped
-// invariant holds.
-func writeShipFault(w http.ResponseWriter, err error) {
-	w.Header().Set("Retry-After", "1")
-	writeFault(w, http.StatusServiceUnavailable, "standby", err.Error())
+	if err := s.OnSessionUpdate(r.Context(), id, doc); err != nil {
+		w.Header().Set("Retry-After", "1")
+		writeFault(w, http.StatusServiceUnavailable, "standby", err.Error())
+		return false
+	}
+	return true
 }
 
 // writeRaw emits a pre-serialized XML response (the replay path must be
